@@ -1,17 +1,20 @@
 """Linear programming with verifiable outcomes.
 
-Dense two-phase primal simplex on the full tableau, written for the
-certificate problems built elsewhere in this package: hundreds to a few
-thousand rows, and every outcome must be independently checkable.
-Optimal points are re-verified against the original rows before being
-reported, infeasibility always carries Farkas multipliers that
-``farkas_check`` validates against the variable box, and ``dump``
-produces a canonical text form so two differently-built programs can be
-compared for exact row-level equality.
+Programs are solved by the HiGHS dual simplex (Huangfu & Hall, Math. Prog.
+Comp. 10, 2018) that scipy bundles, loaded from its extension file so that
+``scipy.optimize`` is never imported.  HiGHS is not trusted: optimal points
+are re-verified against the original rows, infeasibility carries Farkas
+multipliers that ``farkas_check`` validates against the variable box, and an
+unbounded ray is checked against every row.  ``dump`` gives a canonical text
+form for exact row-level comparison of differently-built programs.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -20,11 +23,11 @@ GE = ">="
 EQ = "=="
 _RELS = (LE, GE, EQ)
 
-_PIVTOL = 1e-7   # smallest acceptable pivot element (rows are equilibrated)
-_RATIOTOL = 1e-9  # entries this large limit the ratio test (smaller ones are noise)
-_OPTTOL = 1e-9   # reduced-cost optimality threshold
-_STALL_WINDOW = 60  # degenerate iterations before switching to Bland's rule
-_REFRESH_EVERY = 40  # pivots between exact tableau rebuilds
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+# presolve stays off because its code pages add memory to every process;
+# feasibility tolerances of 1e-10 keep optima inside certificates' 1e-8 reverify
+_HIGHS_OPTIONS = {"output_flag": False, "threads": 1, "presolve": "off",
+                  "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 class SolverError(RuntimeError):
@@ -146,372 +149,114 @@ class LpUnbounded:
     ray: np.ndarray  # feasible improving direction in original variables
 
 
-def _standard_form(lp: LinearProgram):
-    """Rewrite the program over nonnegative variables.
 
-    x = shift + sum(sign * xhat[col]) per variable; doubly-bounded
-    variables get an extra internal bound row.  Returns the internal
-    row matrix (still with named relations, rhs >= 0 after flips) and
-    the bookkeeping needed to map solutions and multipliers back.
-    """
-    ns = lp.num_vars
+def _highs_core():
+    """HiGHS as bundled with scipy, loaded from its file under its own name,
+    so that ``scipy.optimize`` shares it in either import order."""
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    spec = importlib.util.find_spec("scipy")  # locates scipy without importing it
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if spec else ():
+        path = os.path.join(os.path.dirname(spec.origin), "optimize", "_highspy", "_core" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_HIGHS_CORE, path, loader=loader))
+            loader.exec_module(module)
+            sys.modules[_HIGHS_CORE] = module
+            return module
+    from importlib.metadata import version  # itself an ImportError when scipy is missing
+    raise ImportError(f"scipy {version('scipy')} has no optimize/_highspy/_core extension; "
+                      "posimp solves with the HiGHS library bundled in scipy>=1.15,<1.18")
+
+
+def _columns(lp: LinearProgram):
+    """The rows of ``lp`` as a column-wise matrix: (start, row index, value)."""
+    col = np.concatenate([np.zeros(0, np.int64)] + [r[1] for r in lp._rows])
+    val = np.concatenate([np.zeros(0)] + [r[2] for r in lp._rows])
+    row = np.repeat(np.arange(lp.num_rows, dtype=np.int32), [r[1].size for r in lp._rows])
+    order = np.argsort(col, kind="stable")
+    start = np.searchsorted(col[order], np.arange(lp.num_vars + 1)).astype(np.int32)
+    return start, row[order], val[order]
+
+
+def _run(cost, col_lower, col_upper, matrix, rels, rhs, program=None):
+    """Run HiGHS on  min cost.x  s.t.  matrix.x (rels) rhs,  x in the box."""
+    h = _highs_core()
+    highs = h._Highs()
+    for key, val in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(key, val)
+    highs.passModel(cost.size, rhs.size, matrix[1].size, int(h.MatrixFormat.kColwise),
+                    int(h.ObjSense.kMinimize), 0.0, cost, col_lower, col_upper,
+                    np.where(rels == LE, -np.inf, rhs), np.where(rels == GE, np.inf, rhs),
+                    *matrix, np.zeros(cost.size, np.int32))  # all columns continuous
+    if highs.run() == h.HighsStatus.kError and highs.getModelStatus() == h.HighsModelStatus.kNotset:
+        # another HiGHS user in this process sized the shared thread pool
+        # differently; a thread count of 0 joins that pool
+        highs.setOptionValue("threads", 0)
+        highs.run()
+    if program and highs.getModelStatus() != h.HighsModelStatus.kOptimal:  # auxiliary programs
+        raise SolverError(f"{program} program ended with model status "
+                          + highs.modelStatusToString(highs.getModelStatus()))
+    return highs
+
+
+def solve(lp: LinearProgram, feastol: float = 1e-8):
+    """Solve the program.  Returns LpSolution, LpInfeasible or LpUnbounded,
+    each after its check (:func:`verify`, :func:`farkas_check`, the ray
+    check); raises SolverError when the check fails."""
+    matrix = _columns(lp)
+    rels = np.array([r[3] for r in lp._rows], dtype="<U2")
+    rhs = np.array([r[4] for r in lp._rows], dtype=float)
+    cost = np.zeros(lp.num_vars)
+    cost[list(lp._obj)] = list(lp._obj.values())
+    highs = _run(cost, *lp.bounds(), matrix, rels, rhs)
+    status, codes = highs.getModelStatus(), _highs_core().HighsModelStatus
+    extra, out = [], None
+    if status == codes.kOptimal:
+        x = np.array(highs.getSolution().col_value)
+        x[np.abs(x) < 1e-12] = 0.0  # rounding noise on values pinned at zero by rows
+        bad = verify(lp, x, feastol=max(1e-7, 10 * feastol))
+        if bad:
+            raise SolverError("optimal point failed re-verification: "
+                              + "; ".join(str(v) for v in bad[:5]))
+        out = LpSolution("optimal", x, lp.objective_value(x), lp.var_names)
+    elif status in (codes.kInfeasible, codes.kUnboundedOrInfeasible):
+        extra.append("elastic")
+        out = _infeasible_outcome(lp, matrix, rels, rhs, feastol)
+    elif status != codes.kUnbounded:
+        raise SolverError(f"HiGHS stopped with model status {highs.modelStatusToString(status)}")
+    if out is None:
+        extra.append("ray")
+        out = _unbounded_outcome(lp, matrix, rels, cost, feastol)
+    # DEBUG can only be on once something has imported logging; importing
+    # it here would cost every process half a megabyte
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger(__name__)
+    if log and log.isEnabledFor(logging.DEBUG):
+        log.debug("%s: HiGHS %s after %d simplex iterations; extra program: %s",
+                  lp.name, highs.modelStatusToString(status),
+                  highs.getInfo().simplex_iteration_count, ", ".join(extra) or "none")
+    return out
+
+
+def _infeasible_outcome(lp, matrix, rels, rhs, feastol):
+    """Farkas multipliers from the row duals of the always feasible elastic
+    program  min sum(s)  s.t.  a.x - s <= b,  a.x + s >= b,  a.x + s' - s'' == b,
+    s >= 0.  Returns None when its optimum is zero: the rows can be met."""
+    start, index, value = matrix
+    eq = np.nonzero(rels == EQ)[0]
+    srow = np.concatenate([np.arange(rels.size), eq]).astype(np.int32)
+    k = srow.size
+    elastic = (np.append(start, start[-1] + np.arange(1, k + 1, dtype=np.int32)), np.append(index, srow),
+               np.concatenate([value, np.where(rels == LE, -1.0, 1.0), -np.ones(eq.size)]))
     lb, ub = lp.bounds()
-    var_cols: list[list[tuple[int, float]]] = []
-    shift = np.zeros(ns)
-    ncol = 0
-    bound_rows: list[tuple[int, float]] = []  # (column, width)
-    for j in range(ns):
-        l, u = lb[j], ub[j]
-        if np.isinf(l) and np.isinf(u):
-            var_cols.append([(ncol, 1.0), (ncol + 1, -1.0)])
-            ncol += 2
-        elif not np.isinf(l):
-            shift[j] = l
-            var_cols.append([(ncol, 1.0)])
-            if not np.isinf(u):
-                bound_rows.append((ncol, u - l))
-            ncol += 1
-        else:  # only upper bound finite: mirror
-            shift[j] = u
-            var_cols.append([(ncol, -1.0)])
-            ncol += 1
-
-    mrows = lp.num_rows + len(bound_rows)
-    A = np.zeros((mrows, ncol))
-    b = np.zeros(mrows)
-    rel = []
-    for i, (_, idx, coef, r, rhs) in enumerate(lp._rows):
-        bi = rhs
-        for j, c in zip(idx, coef):
-            bi -= c * shift[j]
-            for col, s in var_cols[j]:
-                A[i, col] += c * s
-        b[i] = bi
-        rel.append(r)
-    for k, (col, width) in enumerate(bound_rows):
-        i = lp.num_rows + k
-        A[i, col] = 1.0
-        b[i] = width
-        rel.append(LE)
-
-    flip = np.ones(mrows)
-    for i in range(mrows):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            flip[i] = -1.0
-            rel[i] = {LE: GE, GE: LE, EQ: EQ}[rel[i]]
-    # row equilibration keeps pivot magnitudes comparable across rows
-    rowscale = np.ones(mrows)
-    for i in range(mrows):
-        s = float(np.max(np.abs(A[i]), initial=0.0))
-        if s > 0.0:
-            rowscale[i] = s
-            A[i] /= s
-            b[i] /= s
-    return A, b, rel, flip, rowscale, var_cols, shift, len(bound_rows)
-
-
-def _recompute_costrow(c_full: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    z = np.concatenate([c_full, [0.0]])
-    cb = c_full[basis]
-    nz = np.nonzero(cb)[0]
-    for i in nz:
-        z -= cb[i] * T[i]
-    return z
-
-
-def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, e: int) -> None:
-    Trow = T[r] / T[r, e]
-    cols = T[:, e].copy()
-    T -= np.outer(cols, Trow)
-    T[r] = Trow
-    z -= z[e] * Trow
-    basis[r] = e
-
-
-def _pivot_loop(T, z, basis, allowed, max_iter, start_bland=False, refresh=None):
-    """Minimize z over the tableau.  Returns (status, T, z) where status is
-    "optimal" or ("unbounded", column).
-
-    Positive entries above the noise floor limit the step; sub-noise entries
-    are ignored, which can walk their rows slightly negative — the caller
-    cleans that up afterwards with dual pivots.  The chosen pivot element
-    itself must clear the (larger) pivot threshold or the column is set
-    aside.  The tableau is rebuilt from pristine data every few dozen pivots
-    so that outer-product update drift never steers the ratio test.
-    """
-    use_bland = start_bland
-    stall = 0
-    best = z[-1]
-    blocked = np.zeros(allowed.size, dtype=bool)
-    for it in range(max_iter):
-        if refresh is not None and it and it % _REFRESH_EVERY == 0:
-            fresh = refresh(basis)
-            if fresh is not None:
-                T, z = fresh
-                best = max(best, z[-1])
-        red = z[:-1]
-        cand = np.nonzero((red < -_OPTTOL) & allowed & ~blocked)[0]
-        if cand.size == 0:
-            return "optimal", T, z
-        if use_bland:
-            e = int(cand[0])
-        else:
-            e = int(cand[np.argmin(red[cand])])
-        col = T[:, e]
-        pos = np.nonzero(col > _RATIOTOL)[0]
-        if pos.size == 0:
-            if np.max(col, initial=0.0) > 0.0:
-                # positive entries exist but all below the noise floor:
-                # numerically useless column, not evidence of unboundedness
-                blocked[e] = True
-                continue
-            return ("unbounded", e), T, z
-        ratios = np.maximum(T[pos, -1], 0.0) / col[pos]
-        rmin = ratios.min()
-        ties = pos[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
-        if use_bland:
-            r = int(ties[np.argmin(basis[ties])])
-            if col[r] <= _PIVTOL:
-                r = int(ties[np.argmax(col[ties])])
-        else:
-            r = int(ties[np.argmax(col[ties])])
-        if col[r] <= _PIVTOL:
-            # no binding row has an element large enough to divide by safely
-            blocked[e] = True
-            continue
-        _pivot(T, z, basis, r, e)
-        # the tableau keeps -objective in the rhs cell: progress = increase
-        if z[-1] > best + 1e-13 * (1.0 + abs(best)):
-            best = z[-1]
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_WINDOW:
-                use_bland = True
-    raise SolverError("simplex iteration limit exceeded")
-
-
-def _dual_repair(T, z, basis, allowed, max_iter=400):
-    """Clean small negative basic values out of a dual-feasible tableau.
-
-    Dual-simplex pivots: leave on the most negative rhs entry, enter on the
-    column minimizing reduced cost over |element| among negative elements of
-    that row, which keeps the reduced costs nonnegative (the point stays
-    optimal).  Returns True once the rhs column is nonnegative.
-    """
-    for _ in range(max_iter):
-        b = T[:, -1]
-        r = int(np.argmin(b))
-        if b[r] >= -1e-11:
-            return True
-        row = T[r, :-1]
-        cand = np.nonzero((row < -_PIVTOL) & allowed)[0]
-        if cand.size == 0:
-            return False
-        ratios = np.maximum(z[cand], 0.0) / (-row[cand])
-        rmin = ratios.min()
-        ties = cand[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
-        e = int(ties[np.argmax(-row[ties])])
-        _pivot(T, z, basis, r, e)
-    return False
-
-
-def solve(lp: LinearProgram, feastol: float = 1e-8, max_iter: int | None = None):
-    """Solve the program.  Returns LpSolution, LpInfeasible or LpUnbounded.
-
-    Optimal outcomes are polished by re-solving the final basis and then
-    re-verified against the original rows; infeasible outcomes carry a
-    Farkas certificate that has already passed :func:`farkas_check`.
-
-    The fast path prices with Dantzig's rule; if it fails to produce a
-    verifiable outcome, one deterministic retry is made with Bland's rule
-    from the first pivot.
-    """
-    try:
-        return _solve_once(lp, feastol, max_iter, start_bland=False)
-    except SolverError:
-        return _solve_once(lp, feastol, max_iter, start_bland=True)
-
-
-def _solve_once(lp: LinearProgram, feastol: float, max_iter: int | None, start_bland: bool):
-    A, b, rel, flip, rowscale, var_cols, shift, nbound = _standard_form(lp)
-    mint, nstruct = A.shape
-
-    # slack/surplus and artificial columns
-    slack_col = np.full(mint, -1, dtype=np.int64)
-    art_col = np.full(mint, -1, dtype=np.int64)
-    ncols = nstruct
-    for i in range(mint):
-        if rel[i] in (LE, GE):
-            slack_col[i] = ncols
-            ncols += 1
-    for i in range(mint):
-        if rel[i] in (GE, EQ):
-            art_col[i] = ncols
-            ncols += 1
-
-    T = np.zeros((mint, ncols + 1))
-    T[:, :nstruct] = A
-    T[:, -1] = b
-    basis = np.zeros(mint, dtype=np.int64)
-    for i in range(mint):
-        if rel[i] == LE:
-            T[i, slack_col[i]] = 1.0
-            basis[i] = slack_col[i]
-        elif rel[i] == GE:
-            T[i, slack_col[i]] = -1.0
-            T[i, art_col[i]] = 1.0
-            basis[i] = art_col[i]
-        else:
-            T[i, art_col[i]] = 1.0
-            basis[i] = art_col[i]
-    A_std = T[:, :-1].copy()  # pristine copy for basis polishing
-    b_std = b.copy()
-
-    if max_iter is None:
-        max_iter = max(5000, 100 * (mint + ncols))
-
-    is_art = np.zeros(ncols, dtype=bool)
-    is_art[art_col[art_col >= 0]] = True
-    allowed = ~is_art  # artificials never (re-)enter
-
-    def refactor() -> bool:
-        """Rebuild the tableau exactly for the current basis (kills drift)."""
-        nonlocal T
-        try:
-            fresh = np.linalg.solve(A_std[:, basis], np.hstack([A_std, b_std[:, None]]))
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(fresh)):
-            return False
-        T = fresh
-        return True
-
-    def run_phase(c_full):
-        """Pivot to optimality.  Any exit signal is confirmed against a
-        freshly refactorized tableau before being believed, since the
-        incrementally updated tableau accumulates drift."""
-        nonlocal T
-
-        def refresh(bas):
-            if not refactor():
-                return None
-            return T, _recompute_costrow(c_full, T, basis)
-
-        out = "optimal"
-        z = None
-        for attempt in range(3):
-            z = _recompute_costrow(c_full, T, basis)
-            out, T, z = _pivot_loop(T, z, basis, allowed, max_iter, start_bland, refresh)
-            if attempt == 2 or not refactor():
-                return out, z
-            z = _recompute_costrow(c_full, T, basis)
-            if out == "optimal" and not np.any((z[:-1] < -10 * _OPTTOL) & allowed):
-                return out, z
-        return out, z  # pragma: no cover
-
-    # ---- phase 1
-    if is_art.any():
-        c1 = np.zeros(ncols)
-        c1[is_art] = 1.0
-        out, z1 = run_phase(c1)
-        if out != "optimal":
-            raise SolverError("phase 1 reported unbounded")
-        if -z1[-1] > feastol:
-            # confirm on an exact tableau before extracting the certificate
-            if refactor():
-                out, z1 = run_phase(c1)
-                if out != "optimal":  # pragma: no cover
-                    raise SolverError("phase 1 reported unbounded")
-            if -z1[-1] > feastol:
-                return _infeasible_outcome(lp, z1, slack_col, art_col, flip, rowscale, feastol)
-        # drive any leftover artificial out of the basis
-        for i in range(mint):
-            if is_art[basis[i]]:
-                row = T[i, :ncols]
-                okcols = np.nonzero((np.abs(row) > _PIVTOL) & ~is_art)[0]
-                if okcols.size:
-                    z1 = z1.copy()
-                    _pivot(T, z1, basis, i, int(okcols[0]))
-
-    # ---- phase 2
-    c2 = np.zeros(ncols)
-    for j, c in lp._obj.items():
-        for col, s in var_cols[j]:
-            c2[col] += c * s
-    for _ in range(4):
-        out, _ = run_phase(c2)
-        if out != "optimal":
-            _, e = out
-            return _unbounded_outcome(lp, T, basis, e, var_cols, feastol)
-        # ratio-test tie tolerances can leave tiny negative basic values;
-        # clean them with dual pivots (optimality-preserving), then reconfirm
-        if not refactor():
-            break
-        if float(np.min(T[:, -1], initial=0.0)) >= -1e-11:
-            break
-        z2 = _recompute_costrow(c2, T, basis)
-        if not _dual_repair(T, z2, basis, allowed):
-            raise SolverError("negative basic values at the optimum resist dual repair")
-
-    # ---- polish: re-solve the final basis against the pristine matrix,
-    # falling back to the tableau values if the basis system is too sick
-    def extract(xb):
-        xhat = np.zeros(ncols)
-        xhat[basis] = xb
-        x = shift.copy()
-        for j in range(lp.num_vars):
-            for col, s in var_cols[j]:
-                x[j] += s * xhat[col]
-        return x
-
-    candidates = []
-    try:
-        Bmat = A_std[:, basis]
-        xb = np.linalg.solve(Bmat, b_std)
-        for _ in range(3):  # iterative refinement against the pristine basis
-            xb = xb + np.linalg.solve(Bmat, b_std - Bmat @ xb)
-        if np.all(np.isfinite(xb)):
-            resid = float(np.max(np.abs(Bmat @ xb - b_std), initial=0.0))
-            if resid < 1e-9:
-                candidates.append(xb)
-    except np.linalg.LinAlgError:
-        pass
-    candidates.append(T[:, -1].copy())
-
-    gate = max(1e-7, 10 * feastol)
-    bad = []
-    for xb in candidates:
-        x = extract(xb)
-        bad = verify(lp, x, feastol=gate)
-        if not bad:
-            return LpSolution("optimal", x, lp.objective_value(x), lp.var_names)
-    raise SolverError(
-        "optimal point failed re-verification: " + "; ".join(str(v) for v in bad[:5]))
-
-
-def _infeasible_outcome(lp, z1, slack_col, art_col, flip, rowscale, feastol):
-    mint = flip.size
-    y = np.zeros(mint)
-    for i in range(mint):
-        if art_col[i] >= 0:
-            y[i] = 1.0 - z1[art_col[i]]
-        else:
-            y[i] = -z1[slack_col[i]]
-    # a multiplier on a scaled row (row / s) is s times stronger against the
-    # original row, so divide it back out; flip restores the original sense
-    zmul = y * flip / rowscale
-    u = np.zeros(lp.num_rows)
-    for i in range(lp.num_rows):
-        r = lp._rows[i][3]
-        if r == LE:
-            u[i] = -zmul[i]
-        elif r == GE:
-            u[i] = zmul[i]
-        else:
-            u[i] = -zmul[i]
+    highs = _run(np.append(np.zeros(lp.num_vars), np.ones(k)), np.append(lb, np.zeros(k)),
+                 np.append(ub, np.full(k, np.inf)), elastic, rels, rhs, "elastic")
+    if highs.getInfo().objective_function_value <= feastol:
+        return None
+    y = np.array(highs.getSolution().row_dual)
+    u = np.where(rels == GE, y, -y)
     u[np.abs(u) < 1e-12] = 0.0
     valid, margin = farkas_check(lp, u, feastol)
     if not valid:
@@ -520,17 +265,15 @@ def _infeasible_outcome(lp, z1, slack_col, art_col, flip, rowscale, feastol):
     return LpInfeasible("infeasible", u, margin, used)
 
 
-def _unbounded_outcome(lp, T, basis, e, var_cols, feastol):
-    ncols = T.shape[1] - 1
-    dhat = np.zeros(ncols)
-    dhat[e] = 1.0
-    dhat[basis] = -T[:, e]
-    d = np.zeros(lp.num_vars)
-    for j in range(lp.num_vars):
-        for col, s in var_cols[j]:
-            d[j] += s * dhat[col]
+def _unbounded_outcome(lp, matrix, rels, cost, feastol):
+    """An improving ray: min c.d over the homogeneous rows and the recession
+    cone of the box, with |d_j| <= 1."""
+    lb, ub = lp.bounds()
+    highs = _run(cost, np.where(np.isinf(lb), -1.0, 0.0), np.where(np.isinf(ub), 1.0, 0.0),
+                 matrix, rels, np.zeros(rels.size), "ray")
+    d = np.array(highs.getSolution().col_value)
     # sanity: the ray must not increase the objective and must respect rows
-    if lp.objective_value(d) > -_OPTTOL:
+    if lp.objective_value(d) > -1e-9:
         raise SolverError("unbounded ray fails to improve the objective")
     for name, idx, coef, rel, _ in lp._rows:
         g = float(coef @ d[idx])

@@ -1,6 +1,9 @@
 """Solver tests: hand cases, a randomized battery against scipy, and the
 certificate invariants (Farkas multipliers, re-verification, determinism)."""
 
+import logging
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -223,3 +226,67 @@ def test_farkas_check_rejects_bogus_multipliers():
     p.add_row("r", {x: 1.0}, lp.LE, 1.0)  # feasible program
     ok, _ = lp.farkas_check(p, np.array([1.0]))
     assert not ok
+
+
+# ---------------------------------------------------------------------------
+# HiGHS statuses mapped onto the outcome types
+
+def test_infeasible_program_with_improving_direction_is_infeasible():
+    p = lp.LinearProgram()
+    x = p.add_var("x")
+    y = p.add_var("y")
+    p.add_row("lo", {x: 1.0}, lp.GE, 1.0)
+    p.add_row("up", {x: 1.0}, lp.LE, 0.0)
+    p.set_objective({y: -1.0})
+    out = lp.solve(p)
+    assert out.status == "infeasible"
+    ok, margin = lp.farkas_check(p, out.farkas)
+    assert ok and margin > 0.0
+
+
+@pytest.mark.parametrize("rhs, rel, sign", [(3.0, lp.LE, -1.0), (-3.0, lp.GE, 1.0)])
+def test_infeasible_equality_row_with_free_variable(rhs, rel, sign):
+    # x free, y in [0, 1]; the conflict needs the equality row with a
+    # negative multiplier in one case and a positive one in the other, so
+    # both elastic slacks of that row are exercised
+    p = lp.LinearProgram()
+    x = p.add_var("x")
+    y = p.add_var("y", lb=0.0, ub=1.0)
+    p.add_row("e", {x: 1.0, y: 1.0}, lp.EQ, rhs)
+    p.add_row("c", {x: 1.0, y: -1.0}, rel, 0.0)
+    out = lp.solve(p)
+    assert out.status == "infeasible"
+    ok, margin = lp.farkas_check(p, out.farkas)
+    assert ok and margin > 0.0
+    assert np.sign(out.farkas[0]) == sign
+
+
+def test_unbounded_ray_is_zero_on_doubly_bounded_variable():
+    p = lp.LinearProgram()
+    x = p.add_var("x", lb=0.0, ub=2.0)
+    y = p.add_var("y", lb=0.0)
+    p.add_row("r", {x: 1.0, y: -1.0}, lp.LE, 1.0)
+    p.set_objective({x: -1.0, y: -1.0})
+    out = lp.solve(p)
+    assert out.status == "unbounded"
+    assert out.ray[0] == 0.0 and out.ray[1] > 0.0
+
+
+def test_one_debug_line_per_solve(caplog):
+    p = lp.LinearProgram("logged")
+    x = p.add_var("x", lb=0.0)
+    p.add_row("up", {x: 1.0}, lp.LE, 1.0)
+    p.add_row("lo", {x: 1.0}, lp.GE, 2.0)
+    with caplog.at_level(logging.DEBUG, logger="posimp.lp"):
+        lp.solve(p)
+    lines = [r.getMessage() for r in caplog.records if r.name == "posimp.lp"]
+    assert len(lines) == 1
+    assert lines[0].startswith("logged: HiGHS Infeasible after ")
+    assert "simplex iterations; extra program: elastic" in lines[0]
+
+
+def test_missing_highs_extension_names_the_scipy_version(monkeypatch):
+    monkeypatch.delitem(sys.modules, lp._HIGHS_CORE)
+    monkeypatch.setattr(lp.os.path, "isfile", lambda path: False)
+    with pytest.raises(ImportError, match=r"scipy \d+\.\d+"):
+        lp._highs_core()
