@@ -13,7 +13,9 @@ the certified gamma.  Two families are provided:
   closing each uncertainty loop at its extremal operator, which is both
   the least conservative choice and a smaller program.
 
-The gamma found is minimized directly as the LP objective.
+The gamma found is minimized directly as the LP objective.  The rows are
+column sums over the families zeta, mu_c and mu_d, emitted by
+:class:`posimp.rows.DecayProgram`, the emitter observer synthesis uses too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from . import core, lp, pwl
+from . import core, lp, pwl, rows
 
 
 @dataclass(frozen=True)
@@ -76,262 +78,79 @@ class Infeasible:
 CertifyResult = Certificate | Infeasible
 
 
-def _fmt(t: float) -> str:
-    return f"{t:.12g}"
-
-
-class _CertProgram:
-    """Shared row emitters for all certificate variants."""
+class _CertProgram(rows.DecayProgram):
+    """Certificate variables and the rows of the certificate variants."""
 
     def __init__(self, name, sys, nodes, scalings, options):
+        super().__init__(name, nodes, options.margin, options.eps_min)
         self.sys = sys
-        self.nodes = nodes
         self.opt = options
-        self.p = lp.LinearProgram(name)
-        n = sys.n
-        N = nodes.size
-        m = options.margin
-
-        self.gamma = self.p.add_var("gamma", lb=m)
-        self.eps = self.p.add_var("eps", lb=options.eps_min)
         # zeta: free except strictly positive where the theorems demand it
-        self.zeta_idx = np.empty((n, N), dtype=np.int64)
-        for i in range(n):
-            for k in range(N):
-                self.zeta_idx[i, k] = self.p.add_var(f"zeta[{i}]@n{k}")
+        self.zeta_idx = rows.add_vars(self.p, "zeta[{}]@n{}", (sys.n, nodes.size))
         self.strict_zeta_nodes: set[int] = set()
-
-        self.scalings = scalings
-        self.mu_c_idx = None
-        self.mu_d_idx = None
-        if scalings is not None:
-            self._make_scaling_vars()
+        # scaling families; the continuous one is per node unless constant
+        self.mu_c = self.mu_d = None
+        if scalings is not None and sys.ncD:
+            kc = scalings.continuous
+            self.mu_c = self._scaling(kc, sys.ncD, "mu_c", kc != "constant")
+        if scalings is not None and sys.ndD:
+            self.mu_d = self._scaling(scalings.discrete, sys.ndD, "mu_d", False)
 
     def require_positive_zeta(self, node: int) -> None:
-        lb = self.opt.margin
-        for i in range(self.sys.n):
-            j = int(self.zeta_idx[i, node])
-            self.p._lb[j] = lb
+        for j in self.zeta_idx[:, node]:
+            self.p._lb[j] = self.opt.margin
         self.strict_zeta_nodes.add(node)
 
-    # -- scaling variables -------------------------------------------------
-    def _make_scaling_vars(self):
-        sys, N, m = self.sys, self.nodes.size, self.opt.margin
-        kc = self.scalings.continuous
-        if sys.ncD:
-            if kc == "constant":
-                self.mu_c_idx = ("constant",
-                                 [self.p.add_var(f"mu_c[{r}]", lb=m) for r in range(sys.ncD)])
-            elif kc == "unconstrained":
-                self.mu_c_idx = ("pernode",
-                                 [[self.p.add_var(f"mu_c[{r}]@n{k}", lb=m) for k in range(N)]
-                                  for r in range(sys.ncD)])
-            else:
-                _, part = kc
-                core.validate_partition(part, sys.ncD)
-                gvars = [[self.p.add_var(f"mu_c[g{g}]@n{k}", lb=m) for k in range(N)]
-                         for g in range(len(part))]
-                group_of = {}
-                for g, grp in enumerate(part):
-                    for r in grp:
-                        group_of[r] = g
-                self.mu_c_idx = ("grouped", gvars, group_of)
-        kd = self.scalings.discrete
-        if sys.ndD:
-            if kd in ("constant", "unconstrained"):
-                self.mu_d_idx = ("perentry",
-                                 [self.p.add_var(f"mu_d[{r}]", lb=m) for r in range(sys.ndD)])
-            else:
-                _, part = kd
-                core.validate_partition(part, sys.ndD)
-                gvars = [self.p.add_var(f"mu_d[g{g}]", lb=m) for g in range(len(part))]
-                group_of = {}
-                for g, grp in enumerate(part):
-                    for r in grp:
-                        group_of[r] = g
-                self.mu_d_idx = ("grouped_d", gvars, group_of)
+    def _scaling(self, kind, size: int, name: str, per_node: bool) -> np.ndarray:
+        """Positive scaling variables of one channel, one per entry or, for
+        ("grouped", partition), one per group shared by its entries."""
+        node, extent = ("@n{}", (self.nodes.size,)) if per_node else ("", ())
+        if kind in ("constant", "unconstrained"):
+            return rows.add_vars(self.p, name + "[{}]" + node, (size,) + extent, lb=self.opt.margin)
+        part = kind[1]
+        core.validate_partition(part, size)
+        groups = rows.add_vars(self.p, name + "[g{}]" + node, (len(part),) + extent,
+                               lb=self.opt.margin)
+        group_of = np.empty(size, dtype=np.int64)
+        for g, grp in enumerate(part):
+            group_of[list(grp)] = g
+        return groups[group_of]
 
-    def mu_c_terms(self, r: int, tau: float):
-        kind = self.mu_c_idx[0]
-        if kind == "constant":
-            return [(self.mu_c_idx[1][r], 1.0)]
-        ws = pwl.hat_weights(self.nodes, tau)
-        if kind == "pernode":
-            return [(self.mu_c_idx[1][r][k], w) for k, w in ws]
-        _, gvars, group_of = self.mu_c_idx
-        return [(gvars[group_of[r]][k], w) for k, w in ws]
+    def _groups(self, mu, M, G, E, C, H, F, CD, HD, FD):
+        """Columns x / wD / w of [zeta; mu; 1]^T [M G E; CD HD-I FD; C H F];
+        without a channel (mu None) the wD columns and the mu rows are absent."""
+        z = self.zeta_idx
+        x, w = [(z, M)], [(self.gamma, -1.0), (z, E)]
+        groups = [("x", x, -C.sum(axis=0))]
+        if mu is not None:
+            x.append((mu, CD))
+            groups.append(("wD", [(z, G), (mu, HD - np.eye(len(HD)))], -H.sum(axis=0)))
+            w.append((mu, FD))
+        groups.append(("w", w, -F.sum(axis=0)))
+        return groups
 
-    def mu_d_terms(self, r: int):
-        if self.mu_d_idx[0] == "perentry":
-            return [(self.mu_d_idx[1][r], 1.0)]
-        _, gvars, group_of = self.mu_d_idx
-        return [(gvars[group_of[r]], 1.0)]
+    def build(self, dt, minimum: bool) -> bool:
+        """Flow rows over the grid; for a minimum dwell time also the rows
+        frozen at tbar; jump rows on the dwell window.  Returns soundness.
 
-    def zeta_terms(self, i: int, tau: float):
-        return [(int(self.zeta_idx[i, k]), w) for k, w in pwl.hat_weights(self.nodes, tau)]
-
-    def zeta_deriv_terms(self, i: int, segment: int):
-        h = self.nodes[segment + 1] - self.nodes[segment]
-        return [(int(self.zeta_idx[i, segment]), -1.0 / h),
-                (int(self.zeta_idx[i, segment + 1]), 1.0 / h)]
-
-    # -- row emitters --------------------------------------------------------
-    def flow_rows(self, A, Gc, Ec, Cc, Hc, Fc, CcD=None, HcD=None, FcD=None,
-                  label="flow"):
-        """Between-jump decay rows over every grid segment.
-
-        With scalings: columns x / wD / w of
-          [zdot;0;0]^T + [z(tau); mu_c(tau); 1]^T [A Gc Ec; CcD HcD-I FcD; Cc Hc Fc] <= [0;0;g1]^T.
-        Without (CcD None): the wD block is absent (already eliminated).
-        Returns True when every emitted segment was sound.
+        Between jumps:  [zdot;0;0]^T + [z(tau); mu_c(tau); 1]^T
+        [A Gc Ec; CcD HcD-I FcD; Cc Hc Fc] <= [0;0;g1]^T.  At jumps:
+        [-z(th);0;0]^T + [z(0); mu_d; 1]^T [J Gd Ed; CdD HdD-I FdD; Cd Hd Fd]
+        <= [-eps 1; 0; g1]^T, piecewise-linear in th, so imposing it on the
+        grid points covering the dwell window is sound.
         """
-        sys, n = self.sys, self.sys.n
-        degree = max(A.degree, Gc.degree if Gc is not None else 0, Ec.degree)
-        plan = pwl.flow_sample_plan(self.nodes, degree)
-        sumCc = Cc.sum(axis=0) if Cc.size else np.zeros(n)
-        with_mu = CcD is not None
-        if with_mu:
-            sumHc = Hc.sum(axis=0) if Hc.size else np.zeros(sys.ncD)
-            HmI = HcD - np.eye(sys.ncD)
-        sumFc = Fc.sum(axis=0) if Fc.size else np.zeros(Ec.shape[1])
-        sound = True
-        for seg in plan:
-            sound = sound and seg.sound
-            for pidx, tau in enumerate(seg.taus):
-                At = A.eval(tau)
-                Gt = Gc.eval(tau) if Gc is not None else None
-                Et = Ec.eval(tau)
-                zts = [self.zeta_terms(i, tau) for i in range(n)]
-                for j in range(n):
-                    terms = list(self.zeta_deriv_terms(j, seg.segment))
-                    for i in range(n):
-                        if At[i, j] != 0.0:
-                            terms += [(v, w * At[i, j]) for v, w in zts[i]]
-                    if with_mu:
-                        for r in range(sys.ncD):
-                            if CcD[r, j] != 0.0:
-                                terms += [(v, w * CcD[r, j]) for v, w in self.mu_c_terms(r, tau)]
-                    self.p.add_row(f"{label}:x[{j}]@s{seg.segment}.{pidx}",
-                                   terms, lp.LE, -sumCc[j])
-                if with_mu:
-                    for c in range(sys.ncD):
-                        terms = []
-                        for i in range(n):
-                            if Gt[i, c] != 0.0:
-                                terms += [(v, w * Gt[i, c]) for v, w in zts[i]]
-                        for r in range(sys.ncD):
-                            if HmI[r, c] != 0.0:
-                                terms += [(v, w * HmI[r, c]) for v, w in self.mu_c_terms(r, tau)]
-                        self.p.add_row(f"{label}:wD[{c}]@s{seg.segment}.{pidx}",
-                                       terms, lp.LE, -sumHc[c])
-                for l in range(Et.shape[1]):
-                    terms = [(self.gamma, -1.0)]
-                    for i in range(n):
-                        if Et[i, l] != 0.0:
-                            terms += [(v, w * Et[i, l]) for v, w in zts[i]]
-                    if with_mu and FcD is not None:
-                        for r in range(sys.ncD):
-                            if FcD[r, l] != 0.0:
-                                terms += [(v, w * FcD[r, l]) for v, w in self.mu_c_terms(r, tau)]
-                    self.p.add_row(f"{label}:w[{l}]@s{seg.segment}.{pidx}",
-                                   terms, lp.LE, -sumFc[l])
+        sys, z = self.sys, self.zeta_idx
+        flow = self._groups(self.mu_c, sys.A, sys.Gc, sys.Ec, sys.Cc, sys.Hc, sys.Fc,
+                            sys.CcD, sys.HcD, sys.FcD)
+        sound = self.flow_rows("flow:", z, flow, sys.flow_degree)
+        if minimum:
+            self.stationarity_rows("stat:", dt.tbar, flow)
+            thetas = [dt.tbar]
+        else:
+            thetas = pwl.window_points(self.nodes, dt.tmin, dt.tmax)
+        self.jump_rows("jump:", thetas, z, self._groups(
+            self.mu_d, sys.J, sys.Gd, sys.Ed, sys.Cd, sys.Hd, sys.Fd, sys.CdD, sys.HdD, sys.FdD))
         return sound
-
-    def stationarity_rows(self, tbar, A, Gc, Ec, Cc, Hc, Fc,
-                          CcD=None, HcD=None, FcD=None, label="stat"):
-        """Decay rows at the frozen endpoint tau = tbar (no derivative, with
-        the strict contraction eps on the state columns)."""
-        sys, n = self.sys, self.sys.n
-        At, Et = A.eval(tbar), Ec.eval(tbar)
-        Gt = Gc.eval(tbar) if Gc is not None else None
-        sumCc = Cc.sum(axis=0) if Cc.size else np.zeros(n)
-        sumFc = Fc.sum(axis=0) if Fc.size else np.zeros(Et.shape[1])
-        with_mu = CcD is not None
-        zts = [self.zeta_terms(i, tbar) for i in range(n)]
-        for j in range(n):
-            terms = [(self.eps, 1.0)]
-            for i in range(n):
-                if At[i, j] != 0.0:
-                    terms += [(v, w * At[i, j]) for v, w in zts[i]]
-            if with_mu:
-                for r in range(sys.ncD):
-                    if CcD[r, j] != 0.0:
-                        terms += [(v, w * CcD[r, j]) for v, w in self.mu_c_terms(r, tbar)]
-            self.p.add_row(f"{label}:x[{j}]", terms, lp.LE, -sumCc[j])
-        if with_mu:
-            sumHc = Hc.sum(axis=0) if Hc.size else np.zeros(sys.ncD)
-            HmI = HcD - np.eye(sys.ncD)
-            for c in range(sys.ncD):
-                terms = []
-                for i in range(n):
-                    if Gt[i, c] != 0.0:
-                        terms += [(v, w * Gt[i, c]) for v, w in zts[i]]
-                for r in range(sys.ncD):
-                    if HmI[r, c] != 0.0:
-                        terms += [(v, w * HmI[r, c]) for v, w in self.mu_c_terms(r, tbar)]
-                self.p.add_row(f"{label}:wD[{c}]", terms, lp.LE, -sumHc[c])
-        for l in range(Et.shape[1]):
-            terms = [(self.gamma, -1.0)]
-            for i in range(n):
-                if Et[i, l] != 0.0:
-                    terms += [(v, w * Et[i, l]) for v, w in zts[i]]
-            if with_mu and FcD is not None:
-                for r in range(sys.ncD):
-                    if FcD[r, l] != 0.0:
-                        terms += [(v, w * FcD[r, l]) for v, w in self.mu_c_terms(r, tbar)]
-            self.p.add_row(f"{label}:w[{l}]", terms, lp.LE, -sumFc[l])
-
-    def jump_rows(self, thetas, J, Gd, Ed, Cd, Hd, Fd,
-                  CdD=None, HdD=None, FdD=None, label="jump"):
-        """Impulse contraction rows, one block per admissible dwell value.
-
-        Columns x / wD / w of
-          [-z(th);0;0]^T + [z(0); mu_d; 1]^T [J Gd Ed; CdD HdD-I FdD; Cd Hd Fd]
-            <= [-eps 1; 0; g1]^T.
-        The left side is piecewise-linear in th, so imposing the rows on
-        the grid points covering the dwell window is sound.
-        """
-        sys, n = self.sys, self.sys.n
-        sumCd = Cd.sum(axis=0) if Cd.size else np.zeros(n)
-        with_mu = CdD is not None
-        if with_mu:
-            sumHd = Hd.sum(axis=0) if Hd.size else np.zeros(sys.ndD)
-            HmI = HdD - np.eye(sys.ndD)
-        sumFd = Fd.sum(axis=0) if Fd.size else np.zeros(Ed.shape[1])
-        z0 = [self.zeta_terms(i, 0.0) for i in range(n)]
-        for th in thetas:
-            tag = _fmt(th)
-            for j in range(n):
-                terms = [(self.eps, 1.0)]
-                terms += [(v, -w) for v, w in self.zeta_terms(j, th)]
-                for i in range(n):
-                    if J[i, j] != 0.0:
-                        terms += [(v, w * J[i, j]) for v, w in z0[i]]
-                if with_mu:
-                    for r in range(sys.ndD):
-                        if CdD[r, j] != 0.0:
-                            terms += [(v, w * CdD[r, j]) for v, w in self.mu_d_terms(r)]
-                self.p.add_row(f"{label}:x[{j}]@{tag}", terms, lp.LE, -sumCd[j])
-            if with_mu:
-                for c in range(sys.ndD):
-                    terms = []
-                    for i in range(n):
-                        if Gd[i, c] != 0.0:
-                            terms += [(v, w * Gd[i, c]) for v, w in z0[i]]
-                    for r in range(sys.ndD):
-                        if HmI[r, c] != 0.0:
-                            terms += [(v, w * HmI[r, c]) for v, w in self.mu_d_terms(r)]
-                    self.p.add_row(f"{label}:wD[{c}]@{tag}", terms, lp.LE, -sumHd[c])
-            for l in range(Ed.shape[1]):
-                terms = [(self.gamma, -1.0)]
-                for i in range(n):
-                    if Ed[i, l] != 0.0:
-                        terms += [(v, w * Ed[i, l]) for v, w in z0[i]]
-                if with_mu and FdD is not None:
-                    for r in range(sys.ndD):
-                        if FdD[r, l] != 0.0:
-                            terms += [(v, w * FdD[r, l]) for v, w in self.mu_d_terms(r)]
-                self.p.add_row(f"{label}:w[{l}]@{tag}", terms, lp.LE, -sumFd[l])
 
     # -- outcome -------------------------------------------------------------
     def finish(self, kind, constraint, sound, restriction=None) -> CertifyResult:
@@ -342,26 +161,40 @@ class _CertProgram:
         if out.status != "optimal":  # pragma: no cover - gamma is bounded below
             raise lp.SolverError(f"unexpected solver status {out.status}")
         x = out.x
-        n, N = self.sys.n, self.nodes.size
+        N = self.nodes.size
         zeta = pwl.PwlVector(self.nodes, x[self.zeta_idx])
         mu_c = mu_d = None
-        if self.mu_c_idx is not None:
-            vals = np.zeros((self.sys.ncD, N))
-            for r in range(self.sys.ncD):
-                for k, tau in enumerate(self.nodes):
-                    vals[r, k] = sum(x[v] * w for v, w in self.mu_c_terms(r, tau))
-            mu_c = pwl.PwlVector(self.nodes, vals)
-        if self.mu_d_idx is not None:
-            mu_d = np.array([sum(x[v] * w for v, w in self.mu_d_terms(r))
-                             for r in range(self.sys.ndD)])
+        if self.mu_c is not None:
+            vals = x[self.mu_c]
+            mu_c = pwl.PwlVector(self.nodes, vals if vals.ndim == 2
+                                 else np.repeat(vals[:, None], N, axis=1))
+        if self.mu_d is not None:
+            mu_d = x[self.mu_d]
         return Certificate(
             kind=kind, constraint=constraint, zeta=zeta, mu_c=mu_c, mu_d=mu_d,
             gamma=float(x[self.gamma]), eps=float(x[self.eps]), sound=sound,
             program=self.p, assignment=x, restriction=restriction)
 
 
-def _grid_for(sys_horizon: float, options: CertifyOptions) -> np.ndarray:
-    return pwl.uniform_nodes(sys_horizon, options.n_nodes)
+def _certify(name, kind, sys, dt, scalings, options, minimum: bool) -> CertifyResult:
+    """Certificate program on a grid up to tmax (range) or tbar (minimum);
+    zeta is strictly positive at tau = 0 and, frozen past tbar, at tbar."""
+    options = options or CertifyOptions()
+    nodes = pwl.uniform_nodes(dt.tbar if minimum else dt.tmax, options.n_nodes)
+    prog = _CertProgram(name, sys, nodes, scalings, options)
+    prog.require_positive_zeta(0)
+    if minimum:
+        prog.require_positive_zeta(nodes.size - 1)
+    return prog.finish(kind, dt, prog.build(dt, minimum))
+
+
+def _certify_free(name, kind, sys, dt, options, minimum: bool) -> CertifyResult:
+    """Certificate of the system with both uncertainty loops closed at their
+    extremal operators, with the implied scalings attached."""
+    A, Ec, Cc, Fc = core.worst_case_continuous(sys)
+    J, Ed, Cd, Fd = core.worst_case_discrete(sys)
+    closed = core.LftPositiveSystem.build(A=A, Ec=Ec, Cc=Cc, Fc=Fc, J=J, Ed=Ed, Cd=Cd, Fd=Fd)
+    return _attach_eliminated(_certify(name, kind, closed, dt, None, options, minimum), sys)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +205,8 @@ def certify_range(sys: core.LftPositiveSystem, dt: core.Range,
                   options: CertifyOptions | None = None) -> CertifyResult:
     """Certificate for dwell times ranging over [tmin, tmax], with channel
     scalings of the requested structure."""
-    scalings = scalings or core.ScalingStructure.unconstrained()
-    options = options or CertifyOptions()
-    nodes = _grid_for(dt.tmax, options)
-    prog = _CertProgram("certify_range", sys, nodes, scalings, options)
-    prog.require_positive_zeta(0)
-    sound = prog.flow_rows(sys.A, sys.Gc, sys.Ec, sys.Cc, sys.Hc, sys.Fc,
-                           sys.CcD if sys.ncD else None, sys.HcD, sys.FcD)
-    thetas = pwl.window_points(nodes, dt.tmin, dt.tmax)
-    prog.jump_rows(thetas, sys.J, sys.Gd, sys.Ed, sys.Cd, sys.Hd, sys.Fd,
-                   sys.CdD if sys.ndD else None, sys.HdD, sys.FdD)
-    return prog.finish("range", dt, sound)
+    return _certify("certify_range", "range", sys, dt,
+                    scalings or core.ScalingStructure.unconstrained(), options, False)
 
 
 def certify_min(sys: core.LftPositiveSystem, dt: core.Minimum,
@@ -391,25 +215,8 @@ def certify_min(sys: core.LftPositiveSystem, dt: core.Minimum,
     """Certificate for dwell times >= tbar.  Certificate data are frozen at
     tbar for larger timer values, matching systems whose matrices are
     constant past tbar."""
-    scalings = scalings or core.ScalingStructure.unconstrained()
-    options = options or CertifyOptions()
-    nodes = _grid_for(dt.tbar, options)
-    prog = _CertProgram("certify_min", sys, nodes, scalings, options)
-    prog.require_positive_zeta(0)
-    prog.require_positive_zeta(nodes.size - 1)
-    sound = prog.flow_rows(sys.A, sys.Gc, sys.Ec, sys.Cc, sys.Hc, sys.Fc,
-                           sys.CcD if sys.ncD else None, sys.HcD, sys.FcD)
-    prog.stationarity_rows(dt.tbar, sys.A, sys.Gc, sys.Ec, sys.Cc, sys.Hc, sys.Fc,
-                           sys.CcD if sys.ncD else None, sys.HcD, sys.FcD)
-    prog.jump_rows([dt.tbar], sys.J, sys.Gd, sys.Ed, sys.Cd, sys.Hd, sys.Fd,
-                   sys.CdD if sys.ndD else None, sys.HdD, sys.FdD)
-    return prog.finish("minimum", dt, sound)
-
-
-def _closed_blocks(sys: core.LftPositiveSystem):
-    A_wc, Ec_wc, Cc_wc, Fc_wc = core.worst_case_continuous(sys)
-    J_wc, Ed_wc, Cd_wc, Fd_wc = core.worst_case_discrete(sys)
-    return A_wc, Ec_wc, Cc_wc, Fc_wc, J_wc, Ed_wc, Cd_wc, Fd_wc
+    return _certify("certify_min", "minimum", sys, dt,
+                    scalings or core.ScalingStructure.unconstrained(), options, True)
 
 
 def certify_range_free(sys: core.LftPositiveSystem, dt: core.Range,
@@ -420,32 +227,13 @@ def certify_range_free(sys: core.LftPositiveSystem, dt: core.Range,
     operators; requires the feedthrough loops to be well posed in the
     positive sense.  Never more conservative than any scaling structure.
     """
-    options = options or CertifyOptions()
-    A, Ec, Cc, Fc, J, Ed, Cd, Fd = _closed_blocks(sys)
-    nodes = _grid_for(dt.tmax, options)
-    prog = _CertProgram("certify_range_free", sys, nodes, None, options)
-    prog.require_positive_zeta(0)
-    sound = prog.flow_rows(A, None, Ec, Cc, None, Fc)
-    thetas = pwl.window_points(nodes, dt.tmin, dt.tmax)
-    prog.jump_rows(thetas, J, None, Ed, Cd, None, Fd)
-    cert = prog.finish("range_free", dt, sound)
-    return _attach_eliminated(cert, sys)
+    return _certify_free("certify_range_free", "range_free", sys, dt, options, False)
 
 
 def certify_min_free(sys: core.LftPositiveSystem, dt: core.Minimum,
                      options: CertifyOptions | None = None) -> CertifyResult:
     """Minimum dwell-time certificate with the scalings eliminated."""
-    options = options or CertifyOptions()
-    A, Ec, Cc, Fc, J, Ed, Cd, Fd = _closed_blocks(sys)
-    nodes = _grid_for(dt.tbar, options)
-    prog = _CertProgram("certify_min_free", sys, nodes, None, options)
-    prog.require_positive_zeta(0)
-    prog.require_positive_zeta(nodes.size - 1)
-    sound = prog.flow_rows(A, None, Ec, Cc, None, Fc)
-    prog.stationarity_rows(dt.tbar, A, None, Ec, Cc, None, Fc)
-    prog.jump_rows([dt.tbar], J, None, Ed, Cd, None, Fd)
-    cert = prog.finish("minimum_free", dt, sound)
-    return _attach_eliminated(cert, sys)
+    return _certify_free("certify_min_free", "minimum_free", sys, dt, options, True)
 
 
 def _attach_eliminated(cert: CertifyResult, sys: core.LftPositiveSystem) -> CertifyResult:

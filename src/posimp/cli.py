@@ -41,8 +41,11 @@ System files are JSON documents::
 
 A matrix is a nested array of numbers; blocks that may depend on the
 timer (``A``, ``Gc``, ``Ec``) may instead be an array of coefficient
-matrices ``[M0, M1, ...]`` meaning ``M0 + tau M1 + ...``.  For switched
-systems the dynamics blocks are per-mode lists of such entries.  Schema
+matrices ``[M0, M1, ...]`` meaning ``M0 + tau M1 + ...``; every other
+block must be constant.  The blocks of each kind are those of the tables
+``BLOCKS``, ``MEASUREMENTS`` and ``WEIGHTS`` in :mod:`posimp.core`.  For
+switched systems the dynamics and measurement blocks are per-mode lists
+of such entries.  Schema
 violations are reported with their path (``matrix A row 2: expected 2
 entries``) and exit with status 1; infeasibility exits with status 2.
 """
@@ -75,22 +78,18 @@ _KINDS = ("lft", "delay", "switched", "plant")
 _TOP_KEYS = {"kind", "description", "system", "observer", "dwell",
              "scalings", "solver", "result"}
 
-_SYSTEM_KEYS = {
-    "lft": {"A", "Gc", "Ec", "CcD", "HcD", "FcD", "Cc", "Hc", "Fc",
-            "J", "Gd", "Ed", "CdD", "HdD", "FdD", "Cd", "Hd", "Fd"},
-    "delay": {"A", "Gc", "Ec", "Cc", "Hc", "Fc", "J", "Gd", "Ed",
-              "Cd", "Hd", "Fd", "h_c", "h_d", "phi0",
-              "w_c_bounds", "w_d_bounds"},
-    "plant": {"A", "Gc", "Ec", "J", "Gd", "Ed", "h_c", "h_d", "phi0"},
-    "switched": {"A", "Gc", "Ec", "h_c", "phi0"},
-}
+_CONTAINERS = {"lft": core.LftPositiveSystem, "delay": delay.DelaySystem,
+               "plant": observer.ObservedPlant, "switched": observer.SwitchedPlant}
 
-_OBSERVER_KEYS = {
-    "plant": {"C_yc", "H_yc", "F_yc", "C_yd", "H_yd", "F_yd", "M_c", "M_d",
-              "w_c_bounds", "w_d_bounds", "history_spread", "L_c", "L_d"},
-    "switched": {"C_y", "H_y", "F_y", "M",
-                 "w_c_bounds", "history_spread", "L"},
-}
+_SYSTEM_KEYS = {kind: {b.name for b in table} for kind, table in core.BLOCKS.items()}
+_SYSTEM_KEYS["delay"] |= {"h_c", "h_d", "phi0", "w_c_bounds", "w_d_bounds"}
+_SYSTEM_KEYS["plant"] |= {"h_c", "h_d", "phi0"}
+_SYSTEM_KEYS["switched"] |= {"h_c", "phi0"}
+
+_OBSERVER_KEYS = {kind: {b.name for b in core.MEASUREMENTS[kind] + core.WEIGHTS[kind]}
+                  for kind in core.MEASUREMENTS}
+_OBSERVER_KEYS["plant"] |= {"w_c_bounds", "w_d_bounds", "history_spread", "L_c", "L_d"}
+_OBSERVER_KEYS["switched"] |= {"w_c_bounds", "history_spread", "L"}
 
 _DWELL_TYPES = ("range", "minimum", "periodic-range", "periodic-minimum")
 
@@ -262,65 +261,33 @@ def _wrap_build(fn, path: str):
         raise SchemaError(f"{path}: {e}")
 
 
-def _build_lft(system: dict) -> core.LftPositiveSystem:
-    kwargs = {}
-    for key in sorted(_SYSTEM_KEYS["lft"]):
-        if key in system:
-            kwargs[key] = _block(system[key], key)
-    if "A" not in kwargs:
-        raise SchemaError("system.A: required")
-    return _wrap_build(lambda: core.LftPositiveSystem.build(**kwargs), "system")
-
-
-def _build_delay(system: dict) -> delay.DelaySystem:
-    kwargs = {}
-    for key in sorted(_SYSTEM_KEYS["delay"] - {"h_c", "h_d", "phi0",
-                                               "w_c_bounds", "w_d_bounds"}):
-        if key in system:
-            kwargs[key] = _block(system[key], key)
-    if "A" not in kwargs:
-        raise SchemaError("system.A: required")
-    if "h_c" in system:
-        kwargs["h_c"] = _number(system["h_c"], "system.h_c")
-    if "h_d" in system:
-        kwargs["h_d"] = _integer(system["h_d"], "system.h_d")
-    return _wrap_build(lambda: delay.DelaySystem.build(**kwargs), "system")
-
-
-def _build_plant(system: dict, obs: dict) -> observer.ObservedPlant:
-    kwargs = {}
-    for key in ("A", "Gc", "Ec", "J", "Gd", "Ed"):
-        if key in system:
-            kwargs[key] = _block(system[key], key)
-    if "A" not in kwargs:
-        raise SchemaError("system.A: required")
-    if "h_c" in system:
-        kwargs["h_c"] = _number(system["h_c"], "system.h_c")
-    if "h_d" in system:
-        kwargs["h_d"] = _integer(system["h_d"], "system.h_d")
-    for key in ("C_yc", "H_yc", "F_yc", "C_yd", "H_yd", "F_yd", "M_c", "M_d"):
-        if key in obs:
-            kwargs[key] = _block(obs[key], key)
-    return _wrap_build(lambda: observer.ObservedPlant.build(**kwargs), "system")
-
-
-def _build_switched(system: dict, obs: dict) -> observer.SwitchedPlant:
+def _build_system(kind: str, system: dict, obs: dict):
+    """The container of ``kind`` from the blocks of its tables in the
+    system and observer sections, plus h_c / h_d."""
     if "A" not in system:
         raise SchemaError("system.A: required")
-    A = _mode_blocks(system["A"], "A", None)
-    n_modes = len(A)
-    kwargs = {"A": A}
-    for key in ("Gc", "Ec"):
-        if key in system:
-            kwargs[key] = _mode_blocks(system[key], key, n_modes)
-    for key in ("C_y", "H_y", "F_y"):
-        if key in obs:
-            kwargs[key] = _mode_blocks(obs[key], key, n_modes)
-    if "M" in obs:
-        kwargs["M"] = _block(obs["M"], "M")
+    A = system["A"]
+    n_modes = len(A) if kind == "switched" and isinstance(A, list) else None
+    timer = ", ".join(b.name for b in core.BLOCKS[kind] if b.timer)
+    kwargs = {}
+    for where, section, table, per_mode in (
+            ("system", system, core.BLOCKS[kind], n_modes),
+            ("observer", obs, core.MEASUREMENTS.get(kind, ()), n_modes),
+            ("observer", obs, core.WEIGHTS.get(kind, ()), None)):
+        for b in table:
+            if b.name not in section:
+                continue
+            v = section[b.name]
+            mats = _mode_blocks(v, b.name, per_mode) if per_mode else [_block(v, b.name)]
+            if not b.timer and any(isinstance(m, core.TimerMatrixFunction) for m in mats):
+                raise SchemaError(f"{where}.{b.name}: expected a constant matrix; only "
+                                  f"{timer} may be timer polynomials")
+            kwargs[b.name] = mats if per_mode else mats[0]
     if "h_c" in system:
         kwargs["h_c"] = _number(system["h_c"], "system.h_c")
-    return _wrap_build(lambda: observer.SwitchedPlant.build(**kwargs), "system")
+    if "h_d" in system:
+        kwargs["h_d"] = _integer(system["h_d"], "system.h_d")
+    return _wrap_build(lambda: _CONTAINERS[kind].build(**kwargs), "system")
 
 
 def _build_constraint(dwell: dict, h_c: float | None):
@@ -482,14 +449,7 @@ def build(doc: dict) -> LoadedSystem:
     if kind in ("plant", "switched"):
         _check_keys(obs, _OBSERVER_KEYS[kind], "observer")
 
-    if kind == "lft":
-        built = _build_lft(system)
-    elif kind == "delay":
-        built = _build_delay(system)
-    elif kind == "plant":
-        built = _build_plant(system, obs)
-    else:
-        built = _build_switched(system, obs)
+    built = _build_system(kind, system, obs)
 
     h_c = getattr(built, "h_c", None)
     constraint = None
@@ -609,19 +569,12 @@ def _cmd_check_positivity(args) -> int:
     sysv = loaded.system
     if loaded.kind == "lft":
         targets = [("", sysv)]
-    elif loaded.kind == "delay":
-        targets = [("", core.LftPositiveSystem.build(
-            A=sysv.A, Gc=sysv.Gc, Ec=sysv.Ec, Cc=sysv.Cc, Hc=sysv.Hc,
-            Fc=sysv.Fc, J=sysv.J, Gd=sysv.Gd, Ed=sysv.Ed, Cd=sysv.Cd,
-            Hd=sysv.Hd, Fd=sysv.Fd))]
-    elif loaded.kind == "plant":
-        targets = [("", core.LftPositiveSystem.build(
-            A=sysv.A, Gc=sysv.Gc, Ec=sysv.Ec,
-            J=sysv.J, Gd=sysv.Gd, Ed=sysv.Ed))]
-    else:
+    elif loaded.kind == "switched":
         targets = [(f"mode {i}: ", core.LftPositiveSystem.build(
-            A=sysv.A[i], Gc=sysv.Gc[i], Ec=sysv.Ec[i]))
-            for i in range(sysv.n_modes)]
+            A=sysv.A[i], Gc=sysv.Gc[i], Ec=sysv.Ec[i])) for i in range(sysv.n_modes)]
+    else:  # the blocks of delay systems and plants are blocks of lft systems too
+        targets = [("", core.LftPositiveSystem.build(
+            **{b.name: getattr(sysv, b.name) for b in core.BLOCKS[loaded.kind]}))]
 
     c = loaded.constraint
     horizon = getattr(c, "tmax", None) or getattr(c, "tbar", None) \

@@ -9,7 +9,7 @@ the state may depend polynomially on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 MAX_DEGREE = 6
@@ -90,12 +90,116 @@ class TimerMatrixFunction:
         return TimerMatrixFunction([c @ M for c in self.coeffs])
 
 
-def _const(M, shape, name) -> np.ndarray:
-    M = np.array(M, dtype=float)
-    if M.shape != shape:
-        raise ValueError(f"{name}: expected shape {shape}, got {M.shape}")
-    M.setflags(write=False)
-    return M
+# ---------------------------------------------------------------------------
+# block tables
+
+@dataclass(frozen=True)
+class Block:
+    """One matrix of a system container: its dimensions by name, whether it
+    may depend on the timer, and its value when omitted ("zero",
+    "identity" or "required")."""
+    name: str
+    rows: str
+    cols: str
+    timer: bool
+    default: str
+
+
+def block_table(*specs: str) -> tuple[Block, ...]:
+    """A block table from "name rows cols [timer] [identity|required]" lines."""
+    table = []
+    for spec in specs:
+        name, rows, cols, *flags = spec.split()
+        default = [f for f in flags if f != "timer"]
+        table.append(Block(name, rows, cols, "timer" in flags, default[0] if default else "zero"))
+    return tuple(table)
+
+
+#: Block tables of the containers, by the kind names of the CLI: the
+#: dynamics, the measurements of the observed plants and their error
+#: weights.  Switched plants have one dynamics and measurement block per
+#: mode and one weight.
+BLOCKS = {
+    "lft": block_table(
+        "A n n timer required", "Gc n ncD timer", "Ec n pc timer",
+        "CcD ncD n", "HcD ncD ncD", "FcD ncD pc", "Cc qc n", "Hc qc ncD", "Fc qc pc",
+        "J n n identity", "Gd n ndD", "Ed n pd",
+        "CdD ndD n", "HdD ndD ndD", "FdD ndD pd", "Cd qd n", "Hd qd ndD", "Fd qd pd"),
+    "delay": block_table(
+        "A n n timer required", "Gc n n timer", "Ec n pc timer",
+        "Cc qc n", "Hc qc n", "Fc qc pc",
+        "J n n identity", "Gd n n", "Ed n pd", "Cd qd n", "Hd qd n", "Fd qd pd"),
+    "plant": block_table(
+        "A n n timer required", "Gc n n timer", "Ec n pc timer",
+        "J n n identity", "Gd n n", "Ed n pd"),
+    "switched": block_table("A n n timer required", "Gc n n timer", "Ec n p timer"),
+}
+MEASUREMENTS = {
+    "plant": block_table(
+        "C_yc qc n", "H_yc qc n", "F_yc qc pc", "C_yd qd n", "H_yd qd n", "F_yd qd pd"),
+    "switched": block_table("C_y q n", "H_y q n", "F_y q p"),
+}
+WEIGHTS = {
+    "plant": block_table("M_c n n identity", "M_d n n identity"),
+    "switched": block_table("M n n identity"),
+}
+
+
+def shape_of(M) -> tuple:
+    return M.shape if isinstance(M, TimerMatrixFunction) else np.shape(M)
+
+
+def infer_dims(table, given: dict, dims: dict | None = None, suffix: str = "") -> dict:
+    """Dimension sizes: those of ``dims``, then each from the first given
+    block, in table order, that has it.  The first block fixing the state
+    dimension n must be square.  ``suffix`` (a mode index) goes into
+    the block names of errors."""
+    dims = dict(dims or {})
+    names = [b.name for b in table]
+    for name in given:
+        if name not in names:
+            raise TypeError(f"unknown block {name!r}; expected one of {', '.join(names)}")
+    for b in table:
+        M = given.get(b.name)
+        if M is None:
+            if b.default == "required":
+                raise TypeError(f"block {b.name} is required")
+            continue
+        shape = shape_of(M)
+        if len(shape) != 2:
+            raise ValueError(f"{b.name}{suffix}: expected a matrix, got shape {shape}")
+        if b.rows == b.cols == "n" and "n" not in dims and shape[0] != shape[1]:
+            raise ValueError(f"{b.name}{suffix}: expected a square matrix, got {shape}")
+        dims.setdefault(b.rows, shape[0])
+        dims.setdefault(b.cols, shape[1])
+    return dims
+
+
+def assemble(table, given: dict, dims: dict | None = None, suffix: str = "") -> dict:
+    """The blocks of ``table`` from ``given`` (name -> matrix, timer
+    polynomial or None), shape-checked against :func:`infer_dims`; a
+    dimension no given block has is 0.  Omitted blocks become zero, or the
+    identity where the table says so; only timer blocks may be timer
+    polynomials."""
+    dims = infer_dims(table, given, dims, suffix)
+    out = {}
+    for b in table:
+        shape = (dims.get(b.rows, 0), dims.get(b.cols, 0))
+        M = given.get(b.name)
+        if M is None:
+            M = np.eye(shape[0]) if b.default == "identity" else np.zeros(shape)
+        if b.timer:
+            M = TimerMatrixFunction.wrap(M)
+        elif isinstance(M, TimerMatrixFunction):
+            timer = ", ".join(t.name for t in table if t.timer)
+            raise ValueError(f"{b.name}{suffix}: only {timer} may depend on the timer")
+        else:
+            M = np.array(M, dtype=float)
+            M.setflags(write=False)
+        if M.shape != shape:
+            raise ValueError(f"{b.name}{suffix}: expected shape {shape}, got {M.shape}")
+        out[b.name] = M
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,56 +238,12 @@ class LftPositiveSystem:
     Fd: np.ndarray
 
     @classmethod
-    def build(cls, *, A, Gc=None, Ec=None, CcD=None, HcD=None, FcD=None,
-              Cc=None, Hc=None, Fc=None, J=None, Gd=None, Ed=None,
-              CdD=None, HdD=None, FdD=None, Cd=None, Hd=None, Fd=None):
-        """Assemble with shape validation; omitted blocks default to zero.
-
-        Channel widths are inferred from whichever block of each channel
-        is provided (all zero-width if none are).
-        """
-        A = TimerMatrixFunction.wrap(A)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError(f"A: expected a square matrix, got {A.shape}")
-
-        def width(*cands):
-            for m, axis in cands:
-                if m is not None:
-                    return np.asarray(m, dtype=float).shape[axis]
-            return 0
-
-        ncD = width((Gc.coeffs[0] if isinstance(Gc, TimerMatrixFunction) else Gc, 1),
-                    (CcD, 0), (HcD, 0))
-        pc = width((Ec.coeffs[0] if isinstance(Ec, TimerMatrixFunction) else Ec, 1), (FcD, 1), (Fc, 1))
-        qc = width((Cc, 0), (Hc, 0), (Fc, 0))
-        ndD = width((Gd, 1), (CdD, 0), (HdD, 0))
-        pd = width((Ed, 1), (FdD, 1), (Fd, 1))
-        qd = width((Cd, 0), (Hd, 0), (Fd, 0))
-
-        def tmf(M, shape, name):
-            if M is None:
-                return TimerMatrixFunction.constant(np.zeros(shape))
-            M = TimerMatrixFunction.wrap(M)
-            if M.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {M.shape}")
-            return M
-
-        def c(M, shape, name):
-            return _const(M if M is not None else np.zeros(shape), shape, name)
-
-        return cls(
-            A=A,
-            Gc=tmf(Gc, (n, ncD), "Gc"), Ec=tmf(Ec, (n, pc), "Ec"),
-            CcD=c(CcD, (ncD, n), "CcD"), HcD=c(HcD, (ncD, ncD), "HcD"),
-            FcD=c(FcD, (ncD, pc), "FcD"),
-            Cc=c(Cc, (qc, n), "Cc"), Hc=c(Hc, (qc, ncD), "Hc"), Fc=c(Fc, (qc, pc), "Fc"),
-            J=c(J if J is not None else np.eye(n), (n, n), "J"),
-            Gd=c(Gd, (n, ndD), "Gd"), Ed=c(Ed, (n, pd), "Ed"),
-            CdD=c(CdD, (ndD, n), "CdD"), HdD=c(HdD, (ndD, ndD), "HdD"),
-            FdD=c(FdD, (ndD, pd), "FdD"),
-            Cd=c(Cd, (qd, n), "Cd"), Hd=c(Hd, (qd, ndD), "Hd"), Fd=c(Fd, (qd, pd), "Fd"),
-        )
+    def build(cls, **blocks):
+        """Assemble from the blocks of ``BLOCKS["lft"]`` with shape
+        validation; omitted blocks default to zero (J to the identity).
+        Channel widths are inferred from the blocks given (all zero-width
+        if none are), see :func:`assemble`."""
+        return cls(**assemble(BLOCKS["lft"], blocks))
 
     # dimensions ---------------------------------------------------------
     @property
@@ -374,34 +434,18 @@ def check_internal_positivity(sys: LftPositiveSystem, horizon: float = 1.0,
     taus = np.linspace(0.0, horizon, n_samples)
     sampled = sys.flow_degree >= 1
 
-    def scan_const(name, M, metzler=False):
-        M = np.asarray(M)
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                if metzler and i == j:
-                    continue
-                if M[i, j] < -tol:
-                    bad.append(PositivityViolation(name, (i, j), None, float(M[i, j])))
+    def scan(name, M, metzler, tau=None):
+        for i, j in zip(*np.nonzero(M < -tol)):
+            if not (metzler and i == j):
+                bad.append(PositivityViolation(name, (int(i), int(j)), tau, float(M[i, j])))
 
-    def scan_timer(name, F, metzler=False):
-        if F.is_constant:
-            scan_const(name, F.coeffs[0], metzler)
-            return
-        for t in taus:
-            M = F.eval(t)
-            for i in range(M.shape[0]):
-                for j in range(M.shape[1]):
-                    if metzler and i == j:
-                        continue
-                    if M[i, j] < -tol:
-                        bad.append(PositivityViolation(name, (i, j), float(t), float(M[i, j])))
-
-    scan_timer("A", sys.A, metzler=True)
-    scan_timer("Gc", sys.Gc)
-    scan_timer("Ec", sys.Ec)
-    for name in ("CcD", "HcD", "FcD", "Cc", "Hc", "Fc",
-                 "J", "Gd", "Ed", "CdD", "HdD", "FdD", "Cd", "Hd", "Fd"):
-        scan_const(name, getattr(sys, name))
+    for b in BLOCKS["lft"]:
+        M, metzler = getattr(sys, b.name), b.name == "A"
+        if b.timer and not M.is_constant:
+            for t in taus:
+                scan(b.name, M.eval(t), metzler, float(t))
+        else:
+            scan(b.name, M.coeffs[0] if b.timer else M, metzler)
     return PositivityReport(not bad, sampled, tuple(bad))
 
 

@@ -44,6 +44,16 @@ _PERIODIC_RESTRICTION = (
     "validate_periodic_sequence")
 
 
+def check_delays(h_c, h_d=0) -> tuple[float, int]:
+    """The delays as (float h_c > 0, int h_d >= 0)."""
+    h_c = float(h_c)
+    if not h_c > 0:
+        raise ValueError("h_c must be positive")
+    if h_d != int(h_d) or int(h_d) < 0:
+        raise ValueError("h_d must be a nonnegative integer")
+    return h_c, int(h_d)
+
+
 @dataclass(frozen=True)
 class DelaySystem:
     """Linear impulsive system with one flow delay and one jump-count delay.
@@ -75,60 +85,14 @@ class DelaySystem:
     phi0: object = None
 
     @classmethod
-    def build(cls, *, A, Gc=None, Ec=None, Cc=None, Hc=None, Fc=None,
-              J=None, Gd=None, Ed=None, Cd=None, Hd=None, Fd=None,
-              h_c=1.0, h_d=0, phi0=None):
-        """Assemble with shape validation; omitted blocks default to zero
-        (J defaults to the identity).  Input/output widths are inferred
-        from whichever block of each channel is provided."""
-        A = TimerMatrixFunction.wrap(A)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError(f"A: expected a square matrix, got {A.shape}")
-        h_c = float(h_c)
-        if not h_c > 0:
-            raise ValueError("h_c must be positive")
-        if h_d != int(h_d) or int(h_d) < 0:
-            raise ValueError("h_d must be a nonnegative integer")
+    def build(cls, *, h_c=1.0, h_d=0, phi0=None, **blocks):
+        """Assemble from the blocks of ``core.BLOCKS["delay"]`` with shape
+        validation; omitted blocks default to zero (J to the identity).
+        Input/output widths are inferred from the blocks given."""
+        h_c, h_d = check_delays(h_c, h_d)
         if phi0 is not None and not callable(phi0):
             raise ValueError("phi0 must be callable (history on [-h_c, 0]) or None")
-
-        def width(*cands):
-            for m, axis in cands:
-                if m is not None:
-                    arr = m.coeffs[0] if isinstance(m, TimerMatrixFunction) else np.asarray(m)
-                    return arr.shape[axis]
-            return 0
-
-        pc = width((Ec, 1), (Fc, 1))
-        qc = width((Cc, 0), (Hc, 0), (Fc, 0))
-        pd = width((Ed, 1), (Fd, 1))
-        qd = width((Cd, 0), (Hd, 0), (Fd, 0))
-
-        def tmf(M, shape, name):
-            if M is None:
-                return TimerMatrixFunction.constant(np.zeros(shape))
-            M = TimerMatrixFunction.wrap(M)
-            if M.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {M.shape}")
-            return M
-
-        def const(M, shape, name):
-            M = np.array(M if M is not None else np.zeros(shape), dtype=float)
-            if M.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {M.shape}")
-            M.setflags(write=False)
-            return M
-
-        return cls(
-            A=A, Gc=tmf(Gc, (n, n), "Gc"), Ec=tmf(Ec, (n, pc), "Ec"),
-            Cc=const(Cc, (qc, n), "Cc"), Hc=const(Hc, (qc, n), "Hc"),
-            Fc=const(Fc, (qc, pc), "Fc"),
-            J=const(J if J is not None else np.eye(n), (n, n), "J"),
-            Gd=const(Gd, (n, n), "Gd"), Ed=const(Ed, (n, pd), "Ed"),
-            Cd=const(Cd, (qd, n), "Cd"), Hd=const(Hd, (qd, n), "Hd"),
-            Fd=const(Fd, (qd, pd), "Fd"),
-            h_c=h_c, h_d=int(h_d), phi0=phi0)
+        return cls(**core.assemble(core.BLOCKS["delay"], blocks), h_c=h_c, h_d=h_d, phi0=phi0)
 
     # dimensions ---------------------------------------------------------
     @property
@@ -206,23 +170,27 @@ def _reduced_lft(sys: DelaySystem) -> core.LftPositiveSystem:
 # ---------------------------------------------------------------------------
 # certificates
 
-def _check_scalings(scalings) -> str:
+def check_scalings(scalings, who: str = "delay certificates admit") -> str:
+    """The scaling tag, when it is CONSTANT or UNCONSTRAINED_PERIODIC."""
     if scalings in (CONSTANT, UNCONSTRAINED_PERIODIC):
         return scalings
     raise ValueError(
-        "delay certificates admit scalings CONSTANT or UNCONSTRAINED_PERIODIC "
-        f"only (timer-dependent multipliers cannot commute with the delay "
-        f"operator along arbitrary dwell sequences); got {scalings!r}")
+        f"{who} scalings CONSTANT or UNCONSTRAINED_PERIODIC only (timer-dependent "
+        "multipliers cannot commute with the delay operator along arbitrary dwell "
+        f"sequences); got {scalings!r}")
+
+
+def _check_period(sys, dt) -> None:
+    if abs(dt.h_c - sys.h_c) > 1e-12 * max(1.0, sys.h_c):
+        raise ValueError(
+            f"constraint ties the period to h_c={dt.h_c} but the system has h_c={sys.h_c}")
 
 
 def _base_range(sys: DelaySystem, dt) -> core.Range:
     if isinstance(dt, core.Range):
         return dt
     if isinstance(dt, core.PeriodicRange):
-        if abs(dt.h_c - sys.h_c) > 1e-12 * max(1.0, sys.h_c):
-            raise ValueError(
-                f"constraint ties the period to h_c={dt.h_c} but the system "
-                f"has h_c={sys.h_c}")
+        _check_period(sys, dt)
         return core.Range(dt.tmin, dt.tmax)
     raise TypeError(f"expected a Range or PeriodicRange constraint, got {type(dt).__name__}")
 
@@ -231,10 +199,7 @@ def _base_minimum(sys: DelaySystem, dt) -> core.Minimum:
     if isinstance(dt, core.Minimum):
         return dt
     if isinstance(dt, core.PeriodicMinimum):
-        if abs(dt.h_c - sys.h_c) > 1e-12 * max(1.0, sys.h_c):
-            raise ValueError(
-                f"constraint ties the period to h_c={dt.h_c} but the system "
-                f"has h_c={sys.h_c}")
+        _check_period(sys, dt)
         return core.Minimum(dt.tbar)
     raise TypeError(f"expected a Minimum or PeriodicMinimum constraint, got {type(dt).__name__}")
 
@@ -264,7 +229,7 @@ def certify_delay_range(sys: DelaySystem, dt,
     ``restriction`` note) and equals the delay-free certificate of the
     zero-delay folded system.
     """
-    scalings = _check_scalings(scalings)
+    scalings = check_scalings(scalings)
     base = _base_range(sys, dt)
     if scalings == CONSTANT:
         res = certify.certify_range(_reduced_lft(sys), base,
@@ -279,7 +244,7 @@ def certify_delay_min(sys: DelaySystem, dt,
                       scalings: str = CONSTANT,
                       options: certify.CertifyOptions | None = None) -> certify.CertifyResult:
     """Minimum dwell-time analog of :func:`certify_delay_range`."""
-    scalings = _check_scalings(scalings)
+    scalings = check_scalings(scalings)
     base = _base_minimum(sys, dt)
     if scalings == CONSTANT:
         res = certify.certify_min(_reduced_lft(sys), base,

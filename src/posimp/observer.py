@@ -17,7 +17,9 @@ so gain synthesis is again a linear program:
 * decay block: the column-sum co-positive inequalities of the
   certificate modules, written on the closed error system under the
   substitution zeta^T = 1^T X, with the continuous channel multiplier
-  mu_c = diag(U) as an extra variable;
+  mu_c = diag(U) as an extra variable.  They come from the emitter the
+  certificates use, :class:`posimp.rows.DecayProgram`, with Y as one
+  more variable family (analysis is synthesis with Y = 0);
 * the gain bound gamma on the map from disturbance widths to the
   weighted errors M_c e / M_d e is the LP objective.
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import delay, lp, pwl
+from . import core, delay, lp, pwl, rows
 from .certify import Infeasible
 from .core import TimerMatrixFunction
 from .delay import CONSTANT, UNCONSTRAINED_PERIODIC
@@ -67,30 +69,16 @@ class SynthesisOptions:
             raise ValueError("alpha_max must be positive")
 
 
-def _const(M, shape, name) -> np.ndarray:
-    M = np.array(M if M is not None else np.zeros(shape), dtype=float)
-    if M.shape != shape:
-        raise ValueError(f"{name}: expected shape {shape}, got {M.shape}")
-    M.setflags(write=False)
-    return M
-
-
-def _tmf(M, shape, name) -> TimerMatrixFunction:
-    if M is None:
-        return TimerMatrixFunction.constant(np.zeros(shape))
-    M = TimerMatrixFunction.wrap(M)
-    if M.shape != shape:
-        raise ValueError(f"{name}: expected shape {shape}, got {M.shape}")
-    return M
-
-
-def _weighting(M, n, name) -> np.ndarray:
-    M = _const(M if M is not None else np.eye(n), (n, n), name)
-    if M.min() < 0:
-        raise ValueError(f"{name} must be entrywise nonnegative")
-    if not M.any():
-        raise ValueError(f"{name} must be nonzero (it weights the error bound)")
-    return M
+def _weights(kind: str, given: dict, n: int) -> dict:
+    """The error weights of ``core.WEIGHTS[kind]``, identity when omitted."""
+    out = core.assemble(core.WEIGHTS[kind], {k: v for k, v in given.items() if v is not None},
+                        {"n": n})
+    for name, M in out.items():
+        if M.min() < 0:
+            raise ValueError(f"{name} must be entrywise nonnegative")
+        if not M.any():
+            raise ValueError(f"{name} must be nonzero (it weights the error bound)")
+    return out
 
 
 def _bounds_pair(b, name):
@@ -140,47 +128,18 @@ class ObservedPlant:
     w_d_bounds: tuple | None = None
 
     @classmethod
-    def build(cls, *, A, Gc=None, Ec=None, C_yc=None, H_yc=None, F_yc=None,
-              J=None, Gd=None, Ed=None, C_yd=None, H_yd=None, F_yd=None,
-              M_c=None, M_d=None, h_c=1.0, h_d=0,
-              w_c_bounds=None, w_d_bounds=None):
-        """Assemble with shape validation; omitted blocks default to zero
-        (J to the identity, M_c/M_d to the identity).  Channel widths are
-        inferred from whichever block of each channel is provided."""
-        A = TimerMatrixFunction.wrap(A)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError(f"A: expected a square matrix, got {A.shape}")
-        h_c = float(h_c)
-        if not h_c > 0:
-            raise ValueError("h_c must be positive")
-        if h_d != int(h_d) or int(h_d) < 0:
-            raise ValueError("h_d must be a nonnegative integer")
-
-        def width(*cands):
-            for m, axis in cands:
-                if m is not None:
-                    arr = m.coeffs[0] if isinstance(m, TimerMatrixFunction) else np.asarray(m)
-                    return arr.shape[axis]
-            return 0
-
-        pc = width((Ec, 1), (F_yc, 1))
-        qc = width((C_yc, 0), (H_yc, 0), (F_yc, 0))
-        pd = width((Ed, 1), (F_yd, 1))
-        qd = width((C_yd, 0), (H_yd, 0), (F_yd, 0))
-
-        return cls(
-            A=A, Gc=_tmf(Gc, (n, n), "Gc"), Ec=_tmf(Ec, (n, pc), "Ec"),
-            C_yc=_const(C_yc, (qc, n), "C_yc"), H_yc=_const(H_yc, (qc, n), "H_yc"),
-            F_yc=_const(F_yc, (qc, pc), "F_yc"),
-            J=_const(J if J is not None else np.eye(n), (n, n), "J"),
-            Gd=_const(Gd, (n, n), "Gd"), Ed=_const(Ed, (n, pd), "Ed"),
-            C_yd=_const(C_yd, (qd, n), "C_yd"), H_yd=_const(H_yd, (qd, n), "H_yd"),
-            F_yd=_const(F_yd, (qd, pd), "F_yd"),
-            M_c=_weighting(M_c, n, "M_c"), M_d=_weighting(M_d, n, "M_d"),
-            h_c=h_c, h_d=int(h_d),
-            w_c_bounds=_bounds_pair(w_c_bounds, "w_c_bounds"),
-            w_d_bounds=_bounds_pair(w_d_bounds, "w_d_bounds"))
+    def build(cls, *, M_c=None, M_d=None, h_c=1.0, h_d=0,
+              w_c_bounds=None, w_d_bounds=None, **blocks):
+        """Assemble from the blocks of ``core.BLOCKS["plant"]`` and
+        ``core.MEASUREMENTS["plant"]`` with shape validation; omitted
+        blocks default to zero (J, M_c and M_d to the identity).  Channel
+        widths are inferred from the blocks given."""
+        h_c, h_d = delay.check_delays(h_c, h_d)
+        mats = core.assemble(core.BLOCKS["plant"] + core.MEASUREMENTS["plant"], blocks)
+        return cls(**mats, **_weights("plant", {"M_c": M_c, "M_d": M_d}, mats["A"].shape[0]),
+                   h_c=h_c, h_d=h_d,
+                   w_c_bounds=_bounds_pair(w_c_bounds, "w_c_bounds"),
+                   w_d_bounds=_bounds_pair(w_d_bounds, "w_d_bounds"))
 
     # dimensions ---------------------------------------------------------
     @property
@@ -230,50 +189,26 @@ class SwitchedPlant:
     h_c: float
 
     @classmethod
-    def build(cls, *, A, Gc=None, Ec=None, C_y=None, H_y=None, F_y=None,
-              M=None, h_c=1.0):
-        """Assemble from per-mode block lists; omitted lists default to
-        zero blocks of the width inferred from the first mode."""
-        A = tuple(TimerMatrixFunction.wrap(Ai) for Ai in A)
-        N = len(A)
-        if N == 0:
+    def build(cls, *, M=None, h_c=1.0, **blocks):
+        """Assemble from per-mode lists of the blocks of
+        ``core.BLOCKS["switched"]`` and ``core.MEASUREMENTS["switched"]``;
+        omitted lists default to zero blocks of the widths inferred from
+        the first mode, M to the identity."""
+        h_c, _ = delay.check_delays(h_c)
+        table = core.BLOCKS["switched"] + core.MEASUREMENTS["switched"]
+        modes = {k: list(v) for k, v in blocks.items() if v is not None}
+        if not modes.get("A"):
             raise ValueError("need at least one mode")
-        n = A[0].shape[0]
-        for i, Ai in enumerate(A):
-            if Ai.shape != (n, n):
-                raise ValueError(f"A[{i}]: expected shape {(n, n)}, got {Ai.shape}")
-        h_c = float(h_c)
-        if not h_c > 0:
-            raise ValueError("h_c must be positive")
-
-        def percount(blocks, name):
-            if blocks is None:
-                return [None] * N
-            blocks = list(blocks)
-            if len(blocks) != N:
-                raise ValueError(f"{name}: expected {N} per-mode blocks, got {len(blocks)}")
-            return blocks
-
-        Gc, Ec = percount(Gc, "Gc"), percount(Ec, "Ec")
-        C_y, H_y, F_y = percount(C_y, "C_y"), percount(H_y, "H_y"), percount(F_y, "F_y")
-
-        def width(blocks, axis):
-            for m in blocks:
-                if m is not None:
-                    arr = m.coeffs[0] if isinstance(m, TimerMatrixFunction) else np.asarray(m)
-                    return arr.shape[axis]
-            return 0
-
-        p = width(Ec, 1) or width(F_y, 1)
-        q = width(C_y, 0) or width(H_y, 0) or width(F_y, 0)
-        return cls(
-            A=A,
-            Gc=tuple(_tmf(m, (n, n), f"Gc[{i}]") for i, m in enumerate(Gc)),
-            Ec=tuple(_tmf(m, (n, p), f"Ec[{i}]") for i, m in enumerate(Ec)),
-            C_y=tuple(_const(m, (q, n), f"C_y[{i}]") for i, m in enumerate(C_y)),
-            H_y=tuple(_const(m, (q, n), f"H_y[{i}]") for i, m in enumerate(H_y)),
-            F_y=tuple(_const(m, (q, p), f"F_y[{i}]") for i, m in enumerate(F_y)),
-            M=_weighting(M, n, "M"), h_c=h_c)
+        n_modes = len(modes["A"])
+        for name, v in modes.items():
+            if len(v) != n_modes:
+                raise ValueError(f"{name}: expected {n_modes} per-mode blocks, got {len(v)}")
+        first = {k: v[0] for k, v in modes.items()}
+        dims = core.infer_dims(table, first, {"n": core.shape_of(first["A"])[0]})
+        per_mode = [core.assemble(table, {k: v[i] for k, v in modes.items()}, dims, f"[{i}]")
+                    for i in range(n_modes)]
+        return cls(**{b.name: tuple(m[b.name] for m in per_mode) for b in table},
+                   **_weights("switched", {"M": M}, dims["n"]), h_c=h_c)
 
     @property
     def n_modes(self) -> int:
@@ -346,10 +281,6 @@ class ObserverGains:
 SynthesisResult = ObserverGains | Infeasible
 
 
-def _fmt(t: float) -> str:
-    return f"{t:.12g}"
-
-
 def _plan_taus(nodes: np.ndarray, degree: int) -> tuple[list[float], bool]:
     """Deduplicated sample points of the flow plan, and their soundness."""
     taus: list[float] = []
@@ -369,39 +300,22 @@ class _Block:
         self.n, self.q_c = n, q_c
         self.q_d = 0
         self.tag = tag
-        self.nodes = nodes
-        N = nodes.size
-        self.x_idx = np.empty((n, N), dtype=np.int64)
-        for i in range(n):
-            for k in range(N):
-                self.x_idx[i, k] = prog.add_var(f"{tag}x[{i}]@n{k}", lb=x_min)
-        self.yc_idx = np.empty((n, q_c, N), dtype=np.int64)
-        for i in range(n):
-            for r in range(q_c):
-                for k in range(N):
-                    self.yc_idx[i, r, k] = prog.add_var(f"{tag}yc[{i}][{r}]@n{k}")
+        self.x_idx = rows.add_vars(prog, tag + "x[{}]@n{}", (n, nodes.size), lb=x_min)
+        self.yc_idx = rows.add_vars(prog, tag + "yc[{}][{}]@n{}", (n, q_c, nodes.size))
         self.yd_idx = None
 
     def add_discrete(self, prog: lp.LinearProgram, q_d: int) -> None:
         self.q_d = q_d
-        self.yd_idx = np.empty((self.n, q_d), dtype=np.int64)
-        for i in range(self.n):
-            for r in range(q_d):
-                self.yd_idx[i, r] = prog.add_var(f"{self.tag}yd[{i}][{r}]")
+        self.yd_idx = rows.add_vars(prog, self.tag + "yd[{}][{}]", (self.n, q_d))
 
-    def x_terms(self, i: int, tau: float):
-        return [(int(self.x_idx[i, k]), w) for k, w in pwl.hat_weights(self.nodes, tau)]
-
-    def x_deriv_terms(self, i: int, segment: int):
-        h = self.nodes[segment + 1] - self.nodes[segment]
-        return [(int(self.x_idx[i, segment]), -1.0 / h),
-                (int(self.x_idx[i, segment + 1]), 1.0 / h)]
-
-    def yc_terms(self, i: int, r: int, tau: float):
-        return [(int(self.yc_idx[i, r, k]), w) for k, w in pwl.hat_weights(self.nodes, tau)]
+    def y_terms(self, C, y=None):
+        """The term of -1^T Y C: rows (i, r) of the flattened Y_c (or Y_d)
+        carry -C[r]."""
+        y = self.yc_idx if y is None else y
+        return (y.reshape((-1,) + y.shape[2:]), np.tile(-C, (self.n, 1)))
 
 
-class Synthesis:
+class Synthesis(rows.DecayProgram):
     """A synthesis linear program before solving.
 
     Built by :func:`range_synthesis`, :func:`min_synthesis` or
@@ -412,20 +326,16 @@ class Synthesis:
 
     def __init__(self, name, kind, constraint, scalings, nodes, options,
                  switched: bool):
-        self.p = lp.LinearProgram(name)
+        super().__init__(name, nodes, options.margin, options.eps_min)
         self.kind = kind
         self.constraint = constraint
         self.scalings = scalings
-        self.nodes = nodes
         self.opt = options
         self._switched = switched
         self.sound = True
         self.restriction: str | None = None
-        m = options.margin
-        self.gamma = self.p.add_var("gamma", lb=m)
-        self.eps = self.p.add_var("eps", lb=options.eps_min)
-        self.alpha = self.p.add_var("alpha", lb=m, ub=options.alpha_max)
-        self.u_idx: list[int] | None = None
+        self.alpha = self.p.add_var("alpha", lb=options.margin, ub=options.alpha_max)
+        self.u_idx: np.ndarray | None = None
         self.blocks: list[_Block] = []
 
     # -- variables -----------------------------------------------------------
@@ -438,187 +348,67 @@ class Synthesis:
         """Diagonal multiplier U for the delayed-state channel, shared by
         every mode (a timer-independent multiplier cannot be
         mode-dependent along arbitrary switching sequences)."""
-        self.u_idx = [self.p.add_var(f"u[{j}]", lb=self.opt.margin) for j in range(n)]
+        self.u_idx = rows.add_vars(self.p, "u[{}]", (n,), lb=self.opt.margin)
 
     # -- positivity block ------------------------------------------------------
-    def positivity_rows(self, blk: _Block, A, Gc, Ec, C_y, H_y, F_y) -> None:
-        """X(tau) A(tau) - Y_c(tau) C_y + alpha I >= 0 entrywise, plus the
-        shift-free delayed-state and disturbance blocks, at the flow
-        sample plan (node rows are exact when the matrices are constant)."""
-        n, q = blk.n, blk.q_c
-        degree = max(A.degree, Gc.degree, Ec.degree)
-        taus, sound = _plan_taus(self.nodes, degree)
-        self.sound = self.sound and sound
-        t = blk.tag
-        for tau in taus:
-            At, Gt, Et = A.eval(tau), Gc.eval(tau), Ec.eval(tau)
-            tag = _fmt(tau)
-            for i in range(n):
-                xts = blk.x_terms(i, tau)
-                ycts = [blk.yc_terms(i, r, tau) for r in range(q)]
+    def positivity_rows(self, blk: _Block, blocks, flow: bool) -> None:
+        """X F - Y C >= 0 entrywise for every (name, F, C) of ``blocks``.
 
-                def entry(coeff, ycol, shift):
-                    # without a measurement term the row reduces to
-                    # coeff * x_i (+ alpha) >= 0, vacuous for coeff >= 0
-                    # since x_i >= x_min > 0 and alpha > 0 by their bounds
-                    if coeff >= 0.0 and not ycol.any():
-                        return None
-                    terms = []
-                    if coeff != 0.0:
-                        terms += [(v, w * coeff) for v, w in xts]
-                    for r in range(q):
-                        if ycol[r] != 0.0:
-                            terms += [(v, -w * ycol[r]) for v, w in ycts[r]]
-                    if shift:
-                        terms.append((self.alpha, 1.0))
-                    return terms
-
-                for j in range(n):
-                    terms = entry(At[i, j], C_y[:, j], i == j)
-                    if terms:
-                        self.p.add_row(f"{t}pos:A[{i},{j}]@{tag}", terms, lp.GE, 0.0)
-                for j in range(n):
-                    terms = entry(Gt[i, j], H_y[:, j], False)
-                    if terms:
-                        self.p.add_row(f"{t}pos:Gc[{i},{j}]@{tag}", terms, lp.GE, 0.0)
-                for l in range(Et.shape[1]):
-                    terms = entry(Et[i, l], F_y[:, l], False)
-                    if terms:
-                        self.p.add_row(f"{t}pos:Ec[{i},{l}]@{tag}", terms, lp.GE, 0.0)
-
-    def discrete_positivity_rows(self, blk: _Block, J, Gd, Ed, C_yd, H_yd, F_yd) -> None:
-        """X(0) J - Y_d C_yd >= 0 entrywise, plus the delayed-state and
-        disturbance jump blocks."""
-        n, q_d = blk.n, blk.q_d
-        t = blk.tag
-        for i in range(n):
-            xv = int(blk.x_idx[i, 0])
-
-            def entry(coeff, ycol):
-                if coeff >= 0.0 and not ycol.any():
-                    return None    # vacuous: coeff * x_i >= 0 holds by the bound
-                terms = [] if coeff == 0.0 else [(xv, coeff)]
-                for r in range(q_d):
-                    if ycol[r] != 0.0:
-                        terms.append((int(blk.yd_idx[i, r]), -ycol[r]))
-                return terms
-
-            for j in range(n):
-                terms = entry(J[i, j], C_yd[:, j])
-                if terms:
-                    self.p.add_row(f"{t}pos:J[{i},{j}]", terms, lp.GE, 0.0)
-            for j in range(n):
-                terms = entry(Gd[i, j], H_yd[:, j])
-                if terms:
-                    self.p.add_row(f"{t}pos:Gd[{i},{j}]", terms, lp.GE, 0.0)
-            for l in range(Ed.shape[1]):
-                terms = entry(Ed[i, l], F_yd[:, l])
-                if terms:
-                    self.p.add_row(f"{t}pos:Ed[{i},{l}]", terms, lp.GE, 0.0)
+        Flow blocks (``flow``): X(tau) A(tau) - Y_c(tau) C_y + alpha I,
+        X Gc - Y_c H_y and X Ec - Y_c F_y at the flow sample plan (node
+        rows are exact when the matrices are constant).  Jump blocks:
+        X(0) J - Y_d C_yd, X(0) Gd - Y_d H_yd and X(0) Ed - Y_d F_yd.  An
+        entry with F >= 0 and no measurement term reduces to F x_i
+        (+ alpha) >= 0, which the variable bounds already give; it gets no
+        row.
+        """
+        if flow:
+            at, sound = _plan_taus(self.nodes, max(M.degree for _, M, _ in blocks))
+            self.sound = self.sound and sound
+            suffixes, y = [f"@{rows.fmt(t)}" for t in at], blk.yc_idx
+        else:
+            at, suffixes, y = [0.0], [""], blk.yd_idx
+        weights = pwl.hat_matrix(self.nodes, at)
+        F = np.concatenate([np.stack([M(t) if callable(M) else M for t in at])
+                            for _, M, _ in blocks], axis=2)
+        C = np.concatenate([Cb for _, _, Cb in blocks], axis=1)
+        cols = [f"{name}[{{}},{j}]" for name, _, Cb in blocks for j in range(Cb.shape[1])]
+        groups = []
+        for i in range(blk.n):
+            terms = [(blk.x_idx[i:i + 1], weights, F[:, i:i + 1]),
+                     rows.resolve((y[i], -C), at, weights, len(cols))]
+            if flow:  # alpha on the diagonal of X A
+                terms.append(rows.resolve((self.alpha, np.eye(1, len(cols), i)[0]), at, weights,
+                                          len(cols)))
+            groups.append(([c.format(i) for c in cols], terms, np.zeros(len(cols)),
+                           ~((F[:, i] >= 0.0) & ~C.any(axis=0))))
+        rows.emit(self.p, blk.tag + "pos:", suffixes, groups, lp.GE)
 
     # -- decay block -----------------------------------------------------------
-    def _state_col_terms(self, blk, tau, F, Cf):
-        """Column sums of X(tau) F - Y_c(tau) Cf, one term list per column."""
-        n, q = blk.n, blk.q_c
-        xts = [blk.x_terms(i, tau) for i in range(n)]
-        out = []
-        for j in range(F.shape[1]):
-            terms = []
-            for i in range(n):
-                if F[i, j] != 0.0:
-                    terms += [(v, w * F[i, j]) for v, w in xts[i]]
-            for i in range(n):
-                for r in range(q):
-                    if Cf[r, j] != 0.0:
-                        terms += [(v, -w * Cf[r, j]) for v, w in blk.yc_terms(i, r, tau)]
-            out.append(terms)
-        return out
-
-    def flow_decay_rows(self, blk: _Block, A, Gc, Ec, C_y, H_y, F_y, sumM,
-                        *, folded: bool) -> None:
+    def flow_groups(self, blk: _Block, A, Gc, Ec, C_y, H_y, F_y, sumM, *, folded: bool):
         """Decay of 1^T X between jumps: column sums of
         Xdot + X A - Y_c C_y + U <= -1^T M_c together with the
         delayed-state columns X Gc - Y_c H_y - U <= 0 and the disturbance
         columns X Ec - Y_c F_y <= gamma 1^T.  ``folded`` merges the
-        delayed state into the instantaneous one and drops U."""
-        n = blk.n
-        degree = max(A.degree, Gc.degree, Ec.degree)
-        plan = pwl.flow_sample_plan(self.nodes, degree)
-        self.sound = self.sound and all(seg.sound for seg in plan)
-        t = blk.tag
-        for seg in plan:
-            for pidx, tau in enumerate(seg.taus):
-                At, Gt, Et = A.eval(tau), Gc.eval(tau), Ec.eval(tau)
-                Ft = At + Gt if folded else At
-                Cf = C_y + H_y if folded else C_y
-                suffix = f"@s{seg.segment}.{pidx}"
-                for j, terms in enumerate(self._state_col_terms(blk, tau, Ft, Cf)):
-                    terms = blk.x_deriv_terms(j, seg.segment) + terms
-                    if self.u_idx is not None:
-                        terms.append((self.u_idx[j], 1.0))
-                    self.p.add_row(f"{t}flow:x[{j}]{suffix}", terms, lp.LE, -sumM[j])
-                if not folded:
-                    for j, terms in enumerate(self._state_col_terms(blk, tau, Gt, H_y)):
-                        terms.append((self.u_idx[j], -1.0))
-                        self.p.add_row(f"{t}flow:xd[{j}]{suffix}", terms, lp.LE, 0.0)
-                for l, terms in enumerate(self._state_col_terms(blk, tau, Et, F_y)):
-                    terms.append((self.gamma, -1.0))
-                    self.p.add_row(f"{t}flow:w[{l}]{suffix}", terms, lp.LE, 0.0)
+        delayed state into the instantaneous one and drops U.  The
+        stationarity rows at tbar take the same groups."""
+        n, x = blk.n, blk.x_idx
+        if folded:
+            state = [(x, lambda t: A(t) + Gc(t)), blk.y_terms(C_y + H_y)]
+            return [("x", state, -sumM), ("w", [(x, Ec), blk.y_terms(F_y), (self.gamma, -1.0)],
+                                          np.zeros(Ec.shape[1]))]
+        return [("x", [(x, A), blk.y_terms(C_y), (self.u_idx, np.eye(n))], -sumM),
+                ("xd", [(x, Gc), blk.y_terms(H_y), (self.u_idx, -np.eye(n))], np.zeros(n)),
+                ("w", [(x, Ec), blk.y_terms(F_y), (self.gamma, -1.0)], np.zeros(Ec.shape[1]))]
 
-    def stationarity_decay_rows(self, blk: _Block, tbar, A, Gc, Ec, C_y, H_y,
-                                F_y, sumM, *, folded: bool) -> None:
-        """Frozen decay at tau = tbar (no derivative, strict contraction
-        eps on the state columns), for the minimum dwell-time variants."""
-        At, Gt, Et = A.eval(tbar), Gc.eval(tbar), Ec.eval(tbar)
-        Ft = At + Gt if folded else At
-        Cf = C_y + H_y if folded else C_y
-        t = blk.tag
-        for j, terms in enumerate(self._state_col_terms(blk, tbar, Ft, Cf)):
-            terms.append((self.eps, 1.0))
-            if self.u_idx is not None:
-                terms.append((self.u_idx[j], 1.0))
-            self.p.add_row(f"{t}stat:x[{j}]", terms, lp.LE, -sumM[j])
-        if not folded:
-            for j, terms in enumerate(self._state_col_terms(blk, tbar, Gt, H_y)):
-                terms.append((self.u_idx[j], -1.0))
-                self.p.add_row(f"{t}stat:xd[{j}]", terms, lp.LE, 0.0)
-        for l, terms in enumerate(self._state_col_terms(blk, tbar, Et, F_y)):
-            terms.append((self.gamma, -1.0))
-            self.p.add_row(f"{t}stat:w[{l}]", terms, lp.LE, 0.0)
-
-    def jump_decay_rows(self, blk: _Block, thetas, J, Gd, Ed, C_yd, H_yd,
-                        F_yd, sumMd) -> None:
-        """Jump contraction rows: column sums of
+    def jump_groups(self, blk: _Block, J, Gd, Ed, C_yd, H_yd, F_yd, sumMd):
+        """Jump contraction: column sums of
         X(0)(J + Gd) - Y_d(C_yd + H_yd) - X(theta) + eps I <= -1^T M_d
-        plus the jump disturbance columns, one block per admissible dwell
-        value.  The same contraction row serves the range and the minimum
-        dwell-time variants."""
-        n, q_d = blk.n, blk.q_d
-        JG = J + Gd
-        CH = C_yd + H_yd
-        x0 = [blk.x_terms(i, 0.0) for i in range(n)]
-        t = blk.tag
-        for th in thetas:
-            tag = _fmt(th)
-            for j in range(n):
-                terms = [(self.eps, 1.0)]
-                terms += [(v, -w) for v, w in blk.x_terms(j, th)]
-                for i in range(n):
-                    if JG[i, j] != 0.0:
-                        terms += [(v, w * JG[i, j]) for v, w in x0[i]]
-                    for r in range(q_d):
-                        if CH[r, j] != 0.0:
-                            terms.append((int(blk.yd_idx[i, r]), -CH[r, j]))
-                self.p.add_row(f"{t}jump:x[{j}]@{tag}", terms, lp.LE, -sumMd[j])
-            for l in range(Ed.shape[1]):
-                terms = [(self.gamma, -1.0)]
-                for i in range(n):
-                    if Ed[i, l] != 0.0:
-                        terms += [(v, w * Ed[i, l]) for v, w in x0[i]]
-                    for r in range(q_d):
-                        if F_yd[r, l] != 0.0:
-                            terms.append((int(blk.yd_idx[i, r]), -F_yd[r, l]))
-                self.p.add_row(f"{t}jump:w[{l}]@{tag}", terms, lp.LE, 0.0)
+        plus the jump disturbance columns.  The same contraction row serves
+        the range and the minimum dwell-time variants."""
+        x, yd = blk.x_idx, blk.yd_idx
+        return [("x", [(x, J + Gd), blk.y_terms(C_yd + H_yd, yd)], -sumMd),
+                ("w", [(x, Ed), blk.y_terms(F_yd, yd), (self.gamma, -1.0)], np.zeros(Ed.shape[1]))]
 
     def coupling_rows(self) -> None:
         """Mode hand-off contraction: column sums of
@@ -652,9 +442,7 @@ class Synthesis:
             Y_c = pwl.PwlMatrix(self.nodes, x[blk.yc_idx])
             Y_d = x[blk.yd_idx] if blk.yd_idx is not None else None
             L_c, L_d = recover_gains(X, Y_c, Y_d, x_min=self.opt.x_min)
-            U = None
-            if self.u_idx is not None:
-                U = np.array([x[v] for v in self.u_idx])
+            U = None if self.u_idx is None else x[self.u_idx]
             results.append(ObserverGains(
                 kind=self.kind, constraint=self.constraint, scalings=self.scalings,
                 X=X, Y_c=Y_c, Y_d=Y_d, L_c=L_c, L_d=L_d, U=U,
@@ -668,85 +456,58 @@ class Synthesis:
 # ---------------------------------------------------------------------------
 # public builders
 
-def _check_scalings(scalings) -> str:
-    if scalings in (CONSTANT, UNCONSTRAINED_PERIODIC):
-        return scalings
-    raise ValueError(
-        "observer synthesis admits scalings CONSTANT or UNCONSTRAINED_PERIODIC "
-        f"only (the error system inherits the delayed-state channels, whose "
-        f"multipliers must commute with the delay); got {scalings!r}")
-
-
-def range_synthesis(plant: ObservedPlant, dt, scalings: str = CONSTANT,
-                    options: SynthesisOptions | None = None) -> Synthesis:
-    """Unsolved gain-synthesis program for dwell times in [tmin, tmax]."""
-    scalings = _check_scalings(scalings)
+def _plant_synthesis(plant: ObservedPlant, dt, scalings, options, minimum: bool) -> Synthesis:
+    scalings = delay.check_scalings(scalings, "observer synthesis admits")
     options = options or SynthesisOptions()
-    base = delay._base_range(plant, dt)
+    base = delay._base_minimum(plant, dt) if minimum else delay._base_range(plant, dt)
     periodic = scalings == UNCONSTRAINED_PERIODIC
-    nodes = pwl.uniform_nodes(base.tmax, options.n_nodes)
-    syn = Synthesis("synthesize_range",
-                    "observer_range_periodic" if periodic else "observer_range",
+    nodes = pwl.uniform_nodes(base.tbar if minimum else base.tmax, options.n_nodes)
+    name, kind = ("synthesize_min", "observer_minimum") if minimum \
+        else ("synthesize_range", "observer_range")
+    syn = Synthesis(name, kind + "_periodic" if periodic else kind,
                     dt, scalings, nodes, options, switched=False)
     blk = syn.add_block(plant.n, plant.qc)
     blk.add_discrete(syn.p, plant.qd)
     if not periodic:
         syn.add_channel_multiplier(plant.n)
-    syn.positivity_rows(blk, plant.A, plant.Gc, plant.Ec,
-                        plant.C_yc, plant.H_yc, plant.F_yc)
-    syn.discrete_positivity_rows(blk, plant.J, plant.Gd, plant.Ed,
-                                 plant.C_yd, plant.H_yd, plant.F_yd)
-    syn.flow_decay_rows(blk, plant.A, plant.Gc, plant.Ec,
-                        plant.C_yc, plant.H_yc, plant.F_yc,
-                        plant.M_c.sum(axis=0), folded=periodic)
-    thetas = pwl.window_points(nodes, base.tmin, base.tmax)
-    syn.jump_decay_rows(blk, thetas, plant.J, plant.Gd, plant.Ed,
-                        plant.C_yd, plant.H_yd, plant.F_yd,
-                        plant.M_d.sum(axis=0))
+    syn.positivity_rows(blk, [("A", plant.A, plant.C_yc), ("Gc", plant.Gc, plant.H_yc),
+                              ("Ec", plant.Ec, plant.F_yc)], flow=True)
+    syn.positivity_rows(blk, [("J", plant.J, plant.C_yd), ("Gd", plant.Gd, plant.H_yd),
+                              ("Ed", plant.Ed, plant.F_yd)], flow=False)
+    flow = syn.flow_groups(blk, plant.A, plant.Gc, plant.Ec, plant.C_yc, plant.H_yc,
+                           plant.F_yc, plant.M_c.sum(axis=0), folded=periodic)
+    syn.sound = syn.flow_rows("flow:", blk.x_idx, flow, plant.flow_degree) and syn.sound
+    if minimum:
+        syn.stationarity_rows("stat:", base.tbar, flow)
+        thetas = [base.tbar]
+    else:
+        thetas = pwl.window_points(nodes, base.tmin, base.tmax)
+    syn.jump_rows("jump:", thetas, blk.x_idx, syn.jump_groups(
+        blk, plant.J, plant.Gd, plant.Ed, plant.C_yd, plant.H_yd, plant.F_yd,
+        plant.M_d.sum(axis=0)))
     if periodic:
         syn.restriction = delay._PERIODIC_RESTRICTION
     return syn
+
+
+def range_synthesis(plant: ObservedPlant, dt, scalings: str = CONSTANT,
+                    options: SynthesisOptions | None = None) -> Synthesis:
+    """Unsolved gain-synthesis program for dwell times in [tmin, tmax]."""
+    return _plant_synthesis(plant, dt, scalings, options, minimum=False)
 
 
 def min_synthesis(plant: ObservedPlant, dt, scalings: str = CONSTANT,
                   options: SynthesisOptions | None = None) -> Synthesis:
     """Unsolved gain-synthesis program for dwell times >= tbar; storage
     and gains freeze at tbar for larger timer values."""
-    scalings = _check_scalings(scalings)
-    options = options or SynthesisOptions()
-    base = delay._base_minimum(plant, dt)
-    periodic = scalings == UNCONSTRAINED_PERIODIC
-    nodes = pwl.uniform_nodes(base.tbar, options.n_nodes)
-    syn = Synthesis("synthesize_min",
-                    "observer_minimum_periodic" if periodic else "observer_minimum",
-                    dt, scalings, nodes, options, switched=False)
-    blk = syn.add_block(plant.n, plant.qc)
-    blk.add_discrete(syn.p, plant.qd)
-    if not periodic:
-        syn.add_channel_multiplier(plant.n)
-    syn.positivity_rows(blk, plant.A, plant.Gc, plant.Ec,
-                        plant.C_yc, plant.H_yc, plant.F_yc)
-    syn.discrete_positivity_rows(blk, plant.J, plant.Gd, plant.Ed,
-                                 plant.C_yd, plant.H_yd, plant.F_yd)
-    syn.flow_decay_rows(blk, plant.A, plant.Gc, plant.Ec,
-                        plant.C_yc, plant.H_yc, plant.F_yc,
-                        plant.M_c.sum(axis=0), folded=periodic)
-    syn.stationarity_decay_rows(blk, base.tbar, plant.A, plant.Gc, plant.Ec,
-                                plant.C_yc, plant.H_yc, plant.F_yc,
-                                plant.M_c.sum(axis=0), folded=periodic)
-    syn.jump_decay_rows(blk, [base.tbar], plant.J, plant.Gd, plant.Ed,
-                        plant.C_yd, plant.H_yd, plant.F_yd,
-                        plant.M_d.sum(axis=0))
-    if periodic:
-        syn.restriction = delay._PERIODIC_RESTRICTION
-    return syn
+    return _plant_synthesis(plant, dt, scalings, options, minimum=True)
 
 
 def switched_synthesis(plant: SwitchedPlant, dt, scalings: str = CONSTANT,
                        options: SynthesisOptions | None = None) -> Synthesis:
     """Unsolved per-mode gain-synthesis program under a minimum dwell
     time between switches."""
-    scalings = _check_scalings(scalings)
+    scalings = delay.check_scalings(scalings, "observer synthesis admits")
     options = options or SynthesisOptions()
     if plant.n_modes < 2:
         raise ValueError("switched synthesis needs at least two modes")
@@ -761,14 +522,13 @@ def switched_synthesis(plant: SwitchedPlant, dt, scalings: str = CONSTANT,
     sumM = plant.M.sum(axis=0)
     for mi in range(plant.n_modes):
         blk = syn.add_block(plant.n, plant.q, tag=f"m{mi}:")
-        syn.positivity_rows(blk, plant.A[mi], plant.Gc[mi], plant.Ec[mi],
-                            plant.C_y[mi], plant.H_y[mi], plant.F_y[mi])
-        syn.flow_decay_rows(blk, plant.A[mi], plant.Gc[mi], plant.Ec[mi],
-                            plant.C_y[mi], plant.H_y[mi], plant.F_y[mi],
-                            sumM, folded=periodic)
-        syn.stationarity_decay_rows(blk, base.tbar, plant.A[mi], plant.Gc[mi],
-                                    plant.Ec[mi], plant.C_y[mi], plant.H_y[mi],
-                                    plant.F_y[mi], sumM, folded=periodic)
+        A, Gc, Ec = plant.A[mi], plant.Gc[mi], plant.Ec[mi]
+        C, H, F = plant.C_y[mi], plant.H_y[mi], plant.F_y[mi]
+        syn.positivity_rows(blk, [("A", A, C), ("Gc", Gc, H), ("Ec", Ec, F)], flow=True)
+        flow = syn.flow_groups(blk, A, Gc, Ec, C, H, F, sumM, folded=periodic)
+        syn.sound = syn.flow_rows(blk.tag + "flow:", blk.x_idx, flow,
+                                  plant.flow_degree(mi)) and syn.sound
+        syn.stationarity_rows(blk.tag + "stat:", base.tbar, flow)
     syn.coupling_rows()
     if periodic:
         syn.restriction = _PERIODIC_RESTRICTION_SWITCHED

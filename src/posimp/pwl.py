@@ -59,6 +59,15 @@ def hat_weights(nodes: np.ndarray, tau: float) -> list[tuple[int, float]]:
     return [(k, 1.0 - s), (k + 1, s)]
 
 
+def hat_matrix(nodes: np.ndarray, taus) -> np.ndarray:
+    """Rows of :func:`hat_weights` over all nodes, one row per tau."""
+    out = np.zeros((len(taus), nodes.size))
+    for s, tau in enumerate(taus):
+        for k, w in hat_weights(nodes, tau):
+            out[s, k] = w
+    return out
+
+
 class PwlFunction:
     """Scalar continuous piecewise-linear function given by node values."""
 

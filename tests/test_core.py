@@ -58,6 +58,21 @@ def test_build_rejects_bad_shapes():
         core.LftPositiveSystem.build(A=np.eye(2), Gc=[[1.0], [1.0]], HcD=np.eye(2))
 
 
+def test_channel_width_comes_from_gc_then_ccd_then_hcd():
+    with pytest.raises(ValueError, match=r"CcD: expected shape \(1, 2\)"):
+        core.LftPositiveSystem.build(A=np.eye(2), Gc=[[1.0], [1.0]], CcD=np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"HcD: expected shape \(1, 1\)"):
+        core.LftPositiveSystem.build(A=np.eye(2), CcD=[[1.0, 0.0]], HcD=np.eye(2))
+    assert core.LftPositiveSystem.build(A=np.eye(2), HcD=np.zeros((3, 3))).ncD == 3
+
+
+def test_build_rejects_timer_polynomials_in_constant_blocks():
+    poly = core.TimerMatrixFunction([[[0.5]], [[0.1]]])
+    with pytest.raises(ValueError, match="J: only A, Gc, Ec may depend on the timer"):
+        core.LftPositiveSystem.build(A=[[-1.0]], J=poly)
+    assert core.LftPositiveSystem.build(A=poly).flow_degree == 1
+
+
 def test_is_metzler():
     assert core.is_metzler([[-5.0, 0.0], [1.0, -2.0]])
     assert not core.is_metzler([[-5.0, -0.1], [1.0, -2.0]])
