@@ -61,7 +61,7 @@ import numpy as np
 
 from . import certify, core, delay, lp, observer, pwl, sim
 
-__all__ = ["SchemaError", "StoredGains", "load_document", "build", "main"]
+__all__ = ["SchemaError", "load_document", "build", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,13 @@ def _matrix2d(v, name: str) -> list:
     return rows
 
 
+def _shaped(M: np.ndarray, shape: tuple, path: str) -> np.ndarray:
+    if M.shape != shape:
+        raise SchemaError(f"{path}: expected shape {'x'.join(map(str, shape))}, "
+                          f"got {'x'.join(map(str, M.shape))}")
+    return M
+
+
 def _depth(v) -> int:
     d = 0
     while isinstance(v, list):
@@ -196,27 +203,6 @@ def _bounds(v, width: int, path: str):
     if np.any(lo > hi):
         raise SchemaError(f"{path}: lower bound exceeds upper bound")
     return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# reloaded gains
-
-
-class StoredGains:
-    """Observer gains reloaded from a result document.
-
-    Rebuilds the exact recovered gain X(tau)^{-1} Y_c(tau) from the
-    stored synthesis variables, so re-simulation matches the freshly
-    synthesized design bit for bit.
-    """
-
-    def __init__(self, nodes, X, Y_c, L_d=None):
-        self._X = pwl.PwlVector(nodes, X)
-        self._Y = pwl.PwlMatrix(nodes, Y_c)
-        self.L_d = None if L_d is None else np.asarray(L_d, dtype=float)
-
-    def L_c_at(self, tau: float) -> np.ndarray:
-        return self._Y.eval(tau) / self._X.eval(tau)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +389,38 @@ def _build_solver(block: dict | None):
     return copts, sopts, gain_box
 
 
-def _load_result_gains(result: dict, kind: str):
+def _load_result_gains(result: dict, kind: str, built):
+    """The stored gains of a feasible ``synthesize`` result, shape-checked
+    against the plant; None for any other result."""
     if not isinstance(result, dict) or result.get("status") != "feasible":
         return None
     gains = result.get("gains")
     if gains is None:
         return None
+    n = built.n
+    q, q_d = (built.q, 0) if kind == "switched" else (built.qc, built.qd)
+
+    def array(g, key, path, shape=None):
+        try:
+            v = np.asarray(g[key], dtype=float)
+        except KeyError:
+            raise SchemaError(f"{path}.{key}: required")
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}.{key}: expected a rectangular array of numbers")
+        if not np.all(np.isfinite(v)):
+            raise SchemaError(f"{path}.{key}: expected finite numbers")
+        return v if shape is None else _shaped(v, shape, f"{path}.{key}")
 
     def one(g, path):
         if not isinstance(g, dict):
             raise SchemaError(f"{path}: expected an object")
-        try:
-            nodes = np.asarray(g["nodes"], dtype=float)
-            X = np.asarray(g["X"], dtype=float)
-            Y_c = np.asarray(g["Y_c"], dtype=float)
-            L_d = g.get("L_d")
-            return StoredGains(nodes, X, Y_c, L_d)
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"{path}: malformed stored gains ({e})")
+        nodes = array(g, "nodes", path)
+        if nodes.ndim != 1:
+            raise SchemaError(f"{path}.nodes: expected an array of numbers")
+        X, Y_c = array(g, "X", path, (n, nodes.size)), array(g, "Y_c", path, (n, q, nodes.size))
+        L_d = None if g.get("L_d") is None else array(g, "L_d", path, (n, q_d))
+        return _wrap_build(lambda: observer.StoredGains(
+            pwl.PwlVector(nodes, X), pwl.PwlMatrix(nodes, Y_c), L_d), f"{path}.nodes")
 
     if kind == "switched":
         modes = gains.get("modes") if isinstance(gains, dict) else None
@@ -493,30 +493,20 @@ def build(doc: dict) -> LoadedSystem:
     # gains: stored synthesis result wins over constant observer gains ---
     gains = None
     if "result" in doc:
-        gains = _load_result_gains(doc["result"], kind)
+        gains = _load_result_gains(doc["result"], kind, built)
     if gains is None and kind == "plant" and ("L_c" in obs or "L_d" in obs):
-        L_c = np.asarray(_matrix2d(obs["L_c"], "L_c"), dtype=float) \
-            if "L_c" in obs else np.zeros((built.n, built.qc))
-        L_d = np.asarray(_matrix2d(obs["L_d"], "L_d"), dtype=float) \
-            if "L_d" in obs else np.zeros((built.n, built.qd))
-        if L_c.shape != (built.n, built.qc):
-            raise SchemaError(f"observer.L_c: expected shape "
-                              f"{built.n}x{built.qc}, got {L_c.shape[0]}x{L_c.shape[1]}")
-        if L_d.shape != (built.n, built.qd):
-            raise SchemaError(f"observer.L_d: expected shape "
-                              f"{built.n}x{built.qd}, got {L_d.shape[0]}x{L_d.shape[1]}")
-        gains = (L_c, L_d)
+        gains = tuple(
+            _shaped(np.asarray(_matrix2d(obs[k], k), dtype=float), (built.n, q), f"observer.{k}")
+            if k in obs else np.zeros((built.n, q))
+            for k, q in (("L_c", built.qc), ("L_d", built.qd)))
     if gains is None and kind == "switched" and "L" in obs:
         raw = obs["L"]
         if _depth(raw) == 3:
             mats = _mode_blocks(raw, "L", built.n_modes)
         else:
             mats = [_matrix2d(raw, "L")] * built.n_modes
-        gains = [np.asarray(m, dtype=float) for m in mats]
-        for i, L in enumerate(gains):
-            if L.shape != (built.n, built.q):
-                raise SchemaError(f"observer.L[{i}]: expected shape "
-                                  f"{built.n}x{built.q}, got {L.shape[0]}x{L.shape[1]}")
+        gains = [_shaped(np.asarray(m, dtype=float), (built.n, built.q), f"observer.L[{i}]")
+                 for i, m in enumerate(mats)]
 
     return LoadedSystem(kind=kind, doc=doc, system=built, constraint=constraint,
                         scalings=scalings, certify_options=copts,
@@ -636,13 +626,11 @@ def _cmd_certify(args) -> int:
         if loaded.kind == "delay":
             target = loaded.system
         elif loaded.kind == "plant":
-            if not isinstance(loaded.gains, tuple):
-                print("error: certifying a plant needs constant observer "
-                      "gains (observer.L_c / observer.L_d); gains recovered "
-                      "by synthesize are certified by their own program",
-                      file=sys.stderr)
+            if loaded.gains is None:
+                print("error: certifying a plant needs observer gains "
+                      "(observer.L_c / observer.L_d)", file=sys.stderr)
                 return 1
-            target = observer.error_system(loaded.system, *loaded.gains)
+            target = observer.error_system(loaded.system, loaded.gains)
         else:
             print("error: certify supports kinds lft, delay and plant "
                   "(switched designs are certified by synthesize itself)",

@@ -9,6 +9,7 @@ the state may depend polynomially on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -90,6 +91,19 @@ class TimerMatrixFunction:
         return TimerMatrixFunction([c @ M for c in self.coeffs])
 
 
+class TimerFunction:
+    """Matrix-valued function of the timer that is not a polynomial, given by
+    a callable: a flow block closed with the exact observer gain.  Its degree
+    is infinite, so the simulator evaluates it at every stage and the delay
+    certificates, which need polynomial coefficients, reject it."""
+
+    degree = math.inf
+
+    def __init__(self, fn, shape):
+        self.eval = fn
+        self.shape = tuple(shape)
+
+
 # ---------------------------------------------------------------------------
 # block tables
 
@@ -146,7 +160,7 @@ WEIGHTS = {
 
 
 def shape_of(M) -> tuple:
-    return M.shape if isinstance(M, TimerMatrixFunction) else np.shape(M)
+    return M.shape if isinstance(M, (TimerMatrixFunction, TimerFunction)) else np.shape(M)
 
 
 def infer_dims(table, given: dict, dims: dict | None = None, suffix: str = "") -> dict:
@@ -180,7 +194,7 @@ def assemble(table, given: dict, dims: dict | None = None, suffix: str = "") -> 
     polynomial or None), shape-checked against :func:`infer_dims`; a
     dimension no given block has is 0.  Omitted blocks become zero, or the
     identity where the table says so; only timer blocks may be timer
-    polynomials."""
+    polynomials or :class:`TimerFunction`s."""
     dims = infer_dims(table, given, dims, suffix)
     out = {}
     for b in table:
@@ -189,8 +203,8 @@ def assemble(table, given: dict, dims: dict | None = None, suffix: str = "") -> 
         if M is None:
             M = np.eye(shape[0]) if b.default == "identity" else np.zeros(shape)
         if b.timer:
-            M = TimerMatrixFunction.wrap(M)
-        elif isinstance(M, TimerMatrixFunction):
+            M = M if isinstance(M, TimerFunction) else TimerMatrixFunction.wrap(M)
+        elif isinstance(M, (TimerMatrixFunction, TimerFunction)):
             timer = ", ".join(t.name for t in table if t.timer)
             raise ValueError(f"{b.name}{suffix}: only {timer} may depend on the timer")
         else:

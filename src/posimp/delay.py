@@ -180,6 +180,13 @@ def check_scalings(scalings, who: str = "delay certificates admit") -> str:
         f"sequences); got {scalings!r}")
 
 
+def _check_polynomial(sys: DelaySystem) -> None:
+    if any(isinstance(M, core.TimerFunction) for M in (sys.A, sys.Gc, sys.Ec)):
+        raise TypeError(
+            "delay certificates need flow blocks polynomial in the timer, not closed with the exact "
+            "observer gain X(tau)^-1 Y_c(tau); its synthesis program certifies that design")
+
+
 def _check_period(sys, dt) -> None:
     if abs(dt.h_c - sys.h_c) > 1e-12 * max(1.0, sys.h_c):
         raise ValueError(
@@ -230,6 +237,7 @@ def certify_delay_range(sys: DelaySystem, dt,
     zero-delay folded system.
     """
     scalings = check_scalings(scalings)
+    _check_polynomial(sys)
     base = _base_range(sys, dt)
     if scalings == CONSTANT:
         res = certify.certify_range(_reduced_lft(sys), base,
@@ -245,6 +253,7 @@ def certify_delay_min(sys: DelaySystem, dt,
                       options: certify.CertifyOptions | None = None) -> certify.CertifyResult:
     """Minimum dwell-time analog of :func:`certify_delay_range`."""
     scalings = check_scalings(scalings)
+    _check_polynomial(sys)
     base = _base_minimum(sys, dt)
     if scalings == CONSTANT:
         res = certify.certify_min(_reduced_lft(sys), base,

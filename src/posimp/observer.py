@@ -34,6 +34,7 @@ sequences -- for switched plants the mode pattern must repeat as well.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,8 +231,24 @@ class SwitchedPlant:
         return max(self.A[mode].degree, self.Gc[mode].degree, self.Ec[mode].degree)
 
 
+class _ExactGain:
+    """The exact continuous gain of the storage X and the product Y_c."""
+
+    def L_c_at(self, tau: float) -> np.ndarray:
+        """Exact recovered gain X(tau)^{-1} Y_c(tau).
+
+        Node values agree with the node table ``L_c``; between nodes this
+        ratio of the piecewise-linear synthesis data is the gain the
+        positivity and decay blocks certify (the node table's linear
+        interpolant is only an approximation there).  Values freeze outside
+        the grid, which matches holding the gain constant past the minimum
+        dwell time.
+        """
+        return self.Y_c.eval(tau) / self.X.eval(tau)[:, None]
+
+
 @dataclass
-class ObserverGains:
+class ObserverGains(_ExactGain):
     """Synthesized gains plus the storage data certifying them.
 
     ``X`` holds the diagonal storage entries (one piecewise-linear entry
@@ -262,23 +279,21 @@ class ObserverGains:
     restriction: str | None = None
     mode: int | None = None
 
-    def L_c_at(self, tau: float) -> np.ndarray:
-        """Exact recovered gain X(tau)^{-1} Y_c(tau).
-
-        Node values agree with ``L_c``; between nodes this ratio of the
-        piecewise-linear synthesis data is the gain the positivity and
-        decay blocks certify (the node table's linear interpolant is only
-        an approximation there).  Values freeze outside the grid, which
-        matches holding the gain constant past the minimum dwell time.
-        """
-        x = self.X.eval(tau)
-        return self.Y_c.eval(tau) / x[:, None]
-
     def reverify(self, feastol: float = 1e-8) -> list[lp.Violation]:
         return lp.verify(self.program, self.assignment, feastol)
 
 
 SynthesisResult = ObserverGains | Infeasible
+
+
+@dataclass(frozen=True)
+class StoredGains(_ExactGain):
+    """Gains rebuilt from the synthesis data a ``synthesize`` result
+    document stores: the exact continuous gain and the jump gain L_d."""
+
+    X: pwl.PwlVector
+    Y_c: pwl.PwlMatrix
+    L_d: np.ndarray | None = None
 
 
 def _plan_taus(nodes: np.ndarray, degree: int) -> tuple[list[float], bool]:
@@ -626,32 +641,67 @@ def gain_entry_box(synthesis: Synthesis, lo: float, hi: float) -> Synthesis:
     return synthesis
 
 
-def error_system(plant: ObservedPlant, L_c=None, L_d=None) -> delay.DelaySystem:
-    """Closed observation-error system for constant gains.
+def error_system(plant: ObservedPlant | SwitchedPlant, L_c=None, L_d=None
+                 ) -> delay.DelaySystem | list[delay.DelaySystem]:
+    """Closed observation-error system e = x+ - x of the framer pair.
 
-    The error obeys the delayed impulsive dynamics with flow blocks
-    A - L_c C_yc / Gc - L_c H_yc / Ec - L_c F_yc, jump blocks
+    Flow blocks A - L_c C_yc / Gc - L_c H_yc / Ec - L_c F_yc, jump blocks
     J - L_d C_yd / Gd - L_d H_yd / Ed - L_d F_yd, and the weighted errors
-    M_c e / M_d e as performance outputs, so the certificate builders
-    apply to it directly.  Only constant gains can be folded into
-    constant blocks; gains that vary with the timer are certified by
-    their own synthesis program instead (its decay block is exactly the
-    certificate for the closed system).
+    M_c e / M_d e as performance outputs.  ``L_c`` is a constant gain
+    (None: zero), an (L_c, L_d) pair, or the exact gain of anything with
+    ``L_c_at`` (:class:`ObserverGains`, :class:`StoredGains`), whose
+    ``L_d`` serves when ``L_d`` is None; a missing L_d is zero.  Constant
+    gains fold into constant blocks, which the certificate builders take.
+    An exact gain makes each flow block M(tau) - L_c(tau) S, a
+    :class:`~posimp.core.TimerFunction` that the simulator evaluates per
+    stage and the delay certificates reject: the synthesis program is the
+    certificate of that design.  For a switched plant ``L_c`` holds one
+    gain per mode (None: zero gains) and the result is a list of per-mode
+    systems with identity jumps and the weighted error M e as output.
     """
-    n = plant.n
-    L_c = np.zeros((n, plant.qc)) if L_c is None else np.asarray(L_c, dtype=float)
-    L_d = np.zeros((n, plant.qd)) if L_d is None else np.asarray(L_d, dtype=float)
-    if L_c.shape != (n, plant.qc):
-        raise ValueError(f"L_c: expected shape {(n, plant.qc)}, got {L_c.shape}")
-    if L_d.shape != (n, plant.qd):
-        raise ValueError(f"L_d: expected shape {(n, plant.qd)}, got {L_d.shape}")
+    if isinstance(plant, SwitchedPlant):
+        gains = [None] * plant.n_modes if L_c is None else list(L_c)
+        if len(gains) != plant.n_modes:
+            raise ValueError(f"got {len(gains)} gain sets for {plant.n_modes} modes")
+        return [delay.DelaySystem.build(
+            **_closed_flow(g, plant.q, A=(plant.A[i], plant.C_y[i]), Gc=(plant.Gc[i], plant.H_y[i]),
+                           Ec=(plant.Ec[i], plant.F_y[i])),
+            Cc=plant.M, h_c=plant.h_c) for i, g in enumerate(gains)]
+    if not isinstance(plant, ObservedPlant):
+        raise TypeError("plant must be a measured impulsive or switched plant")
+    if isinstance(L_c, tuple):
+        L_c, L_d = L_c
+    if L_d is None:
+        L_d = getattr(L_c, "L_d", None)
+    L_d = _gain_matrix("L_d", L_d, (plant.n, plant.qd))
     return delay.DelaySystem.build(
-        A=plant.A + TimerMatrixFunction.constant(-(L_c @ plant.C_yc)),
-        Gc=plant.Gc + TimerMatrixFunction.constant(-(L_c @ plant.H_yc)),
-        Ec=plant.Ec + TimerMatrixFunction.constant(-(L_c @ plant.F_yc)),
+        **_closed_flow(L_c, plant.qc, A=(plant.A, plant.C_yc), Gc=(plant.Gc, plant.H_yc),
+                       Ec=(plant.Ec, plant.F_yc)),
         Cc=plant.M_c,
         J=plant.J - L_d @ plant.C_yd,
         Gd=plant.Gd - L_d @ plant.H_yd,
         Ed=plant.Ed - L_d @ plant.F_yd,
         Cd=plant.M_d,
         h_c=plant.h_c, h_d=plant.h_d)
+
+
+def _gain_matrix(name: str, L, shape: tuple) -> np.ndarray:
+    """L as a float matrix of the given shape; None is the zero gain."""
+    L = np.zeros(shape) if L is None else np.asarray(L, dtype=float)
+    if L.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {L.shape}")
+    return L
+
+
+def _closed_flow(L_c, q: int, **blocks) -> dict:
+    """The closed flow blocks M - L_c S of the (M, S) pairs in ``blocks``,
+    for a constant gain (None: zero) or one with ``L_c_at``."""
+    n = blocks["A"][0].shape[0]
+    if not hasattr(L_c, "L_c_at"):
+        L = _gain_matrix("L_c", L_c, (n, q))
+        return {name: M + TimerMatrixFunction.constant(-(L @ S)) for name, (M, S) in blocks.items()}
+    # the three blocks evaluate the gain at the same timer value in turn
+    gain = functools.lru_cache(maxsize=1)(L_c.L_c_at)
+    _gain_matrix("L_c", gain(0.0), (n, q))
+    return {name: core.TimerFunction(lambda tau, M=M, S=S: M.eval(tau) - gain(tau) @ S, M.shape)
+            for name, (M, S) in blocks.items()}

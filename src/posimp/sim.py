@@ -5,7 +5,11 @@ Trajectories are integrated with fixed-step RK4 between impulse times
 history ring buffer by linear interpolation, the jump-count-delayed state
 x(t_{k - h_d}) from a buffer of pre-jump samples.  Integration always
 lands exactly on each impulse time; the jump map is applied to the left
-limit x(t_k) and the trace continues from the post-jump value.
+limit x(t_k) and the trace continues from the post-jump value.  A
+switched system is a per-mode list run along the modes of the dwell
+sequence.  Every run goes through one engine: an interval-observer run is
+a plain run of one 3n-state system on (x, x^-, x^+) that lifts the plant
+and its closed error system from :func:`posimp.observer.error_system`.
 
 The module also generates admissible dwell-time sequences for every
 constraint kind, checks interval-observer enclosures sample by sample,
@@ -26,18 +30,20 @@ Conventions documented here because the dynamics leave them open:
 from __future__ import annotations
 
 import bisect
+import dataclasses
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, observer
+from . import core, delay, observer
 
 __all__ = [
     "SimulationError", "DwellSequence", "JumpRecord", "SimulationTrace",
-    "ClosedLoopSystem", "EnclosureReport", "simulate",
-    "simulate_with_observer", "closed_loop", "gen_sequence",
+    "EnclosureReport", "simulate", "simulate_with_observer", "gen_sequence",
     "check_enclosure", "empirical_gain", "to_csv",
 ]
 
@@ -260,9 +266,8 @@ class _History:
     """Ring buffer of (t, x) samples with linear interpolation.  Reads at
     a duplicated sample time return the earlier entry (the left limit)."""
 
-    def __init__(self, phi, h_c):
+    def __init__(self, phi):
         self.phi = phi
-        self.h_c = h_c
         self.ts: list[float] = []
         self.xs: list[np.ndarray] = []
 
@@ -287,16 +292,109 @@ class _History:
         return (1.0 - w) * self.xs[i - 1] + w * self.xs[i]
 
 
-def _run(n, h_c, h_d, phi, seq, horizon, step, flow, jump, outmap):
-    """Shared hybrid integrator.
+def _input_fn(fn, width, name):
+    if fn is None:
+        zero = np.zeros(width)
+        return lambda _t: zero
+    if not callable(fn):
+        raise ValueError(f"{name} must be callable or None")
 
-    flow(mode, t, tau, x, xd) -> xdot;  outmap(mode, t, tau, x, xd) -> z;
-    jump(mode, k, t, x_pre, x_kd) -> (x_post, z_d).  ``xd`` is the
-    flow-delayed state, ``x_kd`` the jump-count-delayed pre-jump state.
+    def wrapped(arg):
+        v = np.atleast_1d(np.asarray(fn(arg), dtype=float))
+        if v.shape != (width,):
+            raise ValueError(
+                f"{name} returned shape {v.shape}, expected ({width},)")
+        return v
+
+    return wrapped
+
+
+def _as_phi(phi0, n):
+    if phi0 is None:
+        zero = np.zeros(n)
+        return lambda _s: zero
+    if not callable(phi0):
+        raise ValueError("initial history must be callable or None")
+    return lambda s: np.atleast_1d(np.asarray(phi0(s), dtype=float))
+
+
+def _stacked(fns):
+    return lambda arg: np.concatenate([f(arg) for f in fns])
+
+
+# ---------------------------------------------------------------------------
+# plain simulation
+
+
+def simulate(sys, seq: DwellSequence, w_c=None, w_d=None, *,
+             horizon: float, step: float | None = None,
+             phi0=None) -> SimulationTrace:
+    """Integrate a delayed impulsive system (or a per-mode list of them,
+    switched by ``seq.modes``) over [0, horizon].
+
+    ``w_c(t)`` and ``w_d(k)`` are the continuous and discrete
+    disturbances (None means zero); ``phi0`` overrides the system's
+    initial history.  The step is adjusted down to divide h_c exactly
+    and to stay below a quarter of the shortest dwell; the adjustment
+    is reported with a warning and recorded on the trace.
     """
+    return _simulate(sys, seq, w_c, w_d, horizon, step, phi0)
+
+
+def _simulate(sys, seq, w_c, w_d, horizon, step, phi0) -> SimulationTrace:
+    """The engine of :func:`simulate` and :func:`simulate_with_observer`.
+    Observer runs call it directly, so they are not also calls of
+    ``simulate`` to anything that wraps that name."""
+    sysv = list(sys) if isinstance(sys, (list, tuple)) else [sys]
+    if isinstance(sys, (list, tuple)):
+        if len(sysv) < 1:
+            raise ValueError("need at least one mode system")
+        if seq.modes is None:
+            raise ValueError("mode list given but seq carries no modes")
+        if max(seq.modes) >= len(sysv):
+            raise ValueError(
+                f"seq uses mode {max(seq.modes)} but only {len(sysv)} "
+                "systems were given")
+        if any(m.h_c != sysv[0].h_c for m in sysv):
+            raise ValueError("all modes must share the flow delay h_c")
+        if any((m.n, m.qc, m.pc) != (sysv[0].n, sysv[0].qc, sysv[0].pc) for m in sysv):
+            raise ValueError("all modes must share state/channel widths")
+    sys = sysv[0]
+
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    n, pc, pd, h_c, h_d = sys.n, sys.pc, sys.pd, sys.h_c, sys.h_d
+    requested = step if step is not None else min(h_c, min(seq.dwells)) / 16.0
+    h = _adjust_step(requested, h_c, min(seq.dwells))
+    if step is not None and h < step * (1.0 - 1e-12):
+        # stacklevel 3: the caller of simulate / simulate_with_observer
+        warnings.warn(f"step adjusted from {step:.6g} to {h:.6g} to divide "
+                      "h_c and respect the shortest dwell", stacklevel=3)
+    step = h
+
+    w_c = _input_fn(w_c, pc, "w_c")
+    w_d = _input_fn(w_d, pd, "w_d")
+    phi = _as_phi(phi0 if phi0 is not None else sys.phi0, n)
+    mats = [_flow_mats(m) for m in sysv]
+
+    def flow(mode, t, tau, x, xd):
+        A, Gc, Ec = mats[mode]
+        dx = A(tau) @ x + Gc(tau) @ xd
+        if pc:
+            dx = dx + Ec(tau) @ w_c(t)
+        return dx
+
+    def output(m, t, x, xd):
+        z = m.Cc @ x + m.Hc @ xd
+        if pc:
+            z = z + m.Fc @ w_c(t)
+        return z
+
+    # method of steps: RK4 between impulse times, the flow-delayed state
+    # read from the history, the jump-count-delayed one from jump_pre
     seq = seq.covering(horizon)
     times = seq.times
-    hist = _History(phi, h_c)
+    hist = _History(phi)
     x = np.asarray(phi(0.0), dtype=float).copy()
     if x.shape != (n,):
         raise ValueError(f"phi0(0) must have shape ({n},), got {x.shape}")
@@ -304,8 +402,7 @@ def _run(n, h_c, h_d, phi, seq, horizon, step, flow, jump, outmap):
 
     ts = [0.0]
     xs = [x]
-    zs = [outmap(seq.modes[0] if seq.modes else 0, 0.0, 0.0, x,
-                 hist.read(-h_c))]
+    zs = [output(sysv[seq.modes[0] if seq.modes else 0], 0.0, x, hist.read(-h_c))]
     jumps: list[JumpRecord] = []
     jump_pre: list[np.ndarray] = []  # jump_pre[k-1] = x(t_k) left limit
 
@@ -315,6 +412,7 @@ def _run(n, h_c, h_d, phi, seq, horizon, step, flow, jump, outmap):
             break
         t_end = min(float(times[k + 1]), horizon)
         mode = seq.modes[k] if seq.modes else 0
+        m = sysv[mode]
         t = t_start
         while t < t_end - 1e-12 * max(1.0, t_end):
             h = min(step, t_end - t)
@@ -338,7 +436,7 @@ def _run(n, h_c, h_d, phi, seq, horizon, step, flow, jump, outmap):
             hist.prune(t - h_c - 2.0 * step)
             ts.append(t)
             xs.append(x)
-            zs.append(outmap(mode, t, t - t_start, x, xe))
+            zs.append(output(m, t, x, xe))
 
         if t_end >= horizon or t_end < float(times[k + 1]):
             break
@@ -349,7 +447,12 @@ def _run(n, h_c, h_d, phi, seq, horizon, step, flow, jump, outmap):
             x_kd = jump_pre[kj - h_d - 1]
         else:
             x_kd = phi(0.0)
-        x_post, z_d = jump(mode, kj, t_end, x, x_kd)
+        x_post = m.J @ x + m.Gd @ x_kd
+        z_d = m.Cd @ x + m.Hd @ x_kd
+        if pd:
+            wd = w_d(kj)
+            x_post = x_post + m.Ed @ wd
+            z_d = z_d + m.Fd @ wd
         if not np.all(np.isfinite(x_post)):
             raise SimulationError(
                 f"state became non-finite at t={t_end:.6g}")
@@ -358,116 +461,8 @@ def _run(n, h_c, h_d, phi, seq, horizon, step, flow, jump, outmap):
         x = x_post
         hist.append(t_end, x)
 
-    return (np.array(ts), np.stack(xs), np.stack(zs), tuple(jumps), seq)
-
-
-def _zero_input(width):
-    zero = np.zeros(width)
-    return lambda _t: zero
-
-
-def _input_fn(fn, width, name):
-    if fn is None:
-        return _zero_input(width)
-    if not callable(fn):
-        raise ValueError(f"{name} must be callable or None")
-
-    def wrapped(arg):
-        v = np.atleast_1d(np.asarray(fn(arg), dtype=float))
-        if v.shape != (width,):
-            raise ValueError(
-                f"{name} returned shape {v.shape}, expected ({width},)")
-        return v
-
-    return wrapped
-
-
-def _as_phi(phi0, n):
-    if phi0 is None:
-        zero = np.zeros(n)
-        return lambda _s: zero
-    if not callable(phi0):
-        raise ValueError("initial history must be callable or None")
-    return lambda s: np.atleast_1d(np.asarray(phi0(s), dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# plain simulation
-
-
-def simulate(sys, seq: DwellSequence, w_c=None, w_d=None, *,
-             horizon: float, step: float | None = None,
-             phi0=None) -> SimulationTrace:
-    """Integrate a delayed impulsive system (or a per-mode list of them,
-    switched by ``seq.modes``) over [0, horizon].
-
-    ``w_c(t)`` and ``w_d(k)`` are the continuous and discrete
-    disturbances (None means zero); ``phi0`` overrides the system's
-    initial history.  The step is adjusted down to divide h_c exactly
-    and to stay below a quarter of the shortest dwell; the adjustment
-    is reported with a warning and recorded on the trace.
-    """
-    modes = None
-    if isinstance(sys, (list, tuple)):
-        modes = list(sys)
-        if len(modes) < 1:
-            raise ValueError("need at least one mode system")
-        if seq.modes is None:
-            raise ValueError("mode list given but seq carries no modes")
-        if max(seq.modes) >= len(modes):
-            raise ValueError(
-                f"seq uses mode {max(seq.modes)} but only {len(modes)} "
-                "systems were given")
-        sys = modes[0]
-        if any(m.h_c != sys.h_c for m in modes):
-            raise ValueError("all modes must share the flow delay h_c")
-        if any((m.n, m.qc, m.pc) != (sys.n, sys.qc, sys.pc) for m in modes):
-            raise ValueError("all modes must share state/channel widths")
-
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    n, pc, pd = sys.n, sys.pc, sys.pd
-    requested = step if step is not None else min(sys.h_c,
-                                                  min(seq.dwells)) / 16.0
-    h = _adjust_step(requested, sys.h_c, min(seq.dwells))
-    if step is not None and h < step * (1.0 - 1e-12):
-        warnings.warn(f"step adjusted from {step:.6g} to {h:.6g} to divide "
-                      "h_c and respect the shortest dwell", stacklevel=2)
-
-    w_c = _input_fn(w_c, pc, "w_c")
-    w_d = _input_fn(w_d, pd, "w_d")
-    phi = _as_phi(phi0 if phi0 is not None else sys.phi0, n)
-
-    sysv = modes if modes is not None else [sys]
-    mats = [(_flow_mats(m)) for m in sysv]
-
-    def flow(mode, t, tau, x, xd):
-        A, Gc, Ec = mats[mode]
-        dx = A(tau) @ x + Gc(tau) @ xd
-        if pc:
-            dx = dx + Ec(tau) @ w_c(t)
-        return dx
-
-    def outmap(mode, t, tau, x, xd):
-        m = sysv[mode]
-        z = m.Cc @ x + m.Hc @ xd
-        if pc:
-            z = z + m.Fc @ w_c(t)
-        return z
-
-    def jump(mode, k, t, x_pre, x_kd):
-        m = sysv[mode]
-        wd = w_d(k) if pd else np.zeros(0)
-        x_post = m.J @ x_pre + m.Gd @ x_kd
-        z_d = m.Cd @ x_pre + m.Hd @ x_kd
-        if pd:
-            x_post = x_post + m.Ed @ wd
-            z_d = z_d + m.Fd @ wd
-        return x_post, z_d
-
-    ts, xs, zs, jumps, seq_used = _run(
-        n, sys.h_c, sys.h_d, phi, seq, horizon, h, flow, jump, outmap)
-    return SimulationTrace(ts, xs, zs, jumps, h, float(requested), seq_used)
+    return SimulationTrace(np.array(ts), np.stack(xs), np.stack(zs), tuple(jumps),
+                           step, float(requested), seq)
 
 
 def _flow_mats(sys):
@@ -475,145 +470,14 @@ def _flow_mats(sys):
     def fixed(M):
         return lambda _tau: M
 
-    if getattr(sys, "flow_degree", 1) == 0:
+    if sys.flow_degree == 0:
         return (fixed(sys.A.eval(0.0)), fixed(sys.Gc.eval(0.0)),
                 fixed(sys.Ec.eval(0.0)))
     return (sys.A.eval, sys.Gc.eval, sys.Ec.eval)
 
 
 # ---------------------------------------------------------------------------
-# closed loops and observer runs
-
-
-@dataclass(frozen=True)
-class ClosedLoopSystem:
-    """Estimation-error dynamics of a plant/observer pair, with the gain
-    evaluated exactly (rationally) in the timer -- the simulation-side
-    counterpart of the synthesis certificate.  Field layout mirrors the
-    delayed impulsive system container."""
-
-    A: object
-    Gc: object
-    Ec: object
-    Cc: np.ndarray
-    Hc: np.ndarray
-    Fc: np.ndarray
-    J: np.ndarray
-    Gd: np.ndarray
-    Ed: np.ndarray
-    Cd: np.ndarray
-    Hd: np.ndarray
-    Fd: np.ndarray
-    h_c: float
-    h_d: int
-    phi0: object = None
-    flow_degree: int = 1
-
-    @property
-    def n(self):
-        return self.J.shape[0]
-
-    @property
-    def pc(self):
-        return self.Ec.shape[1]
-
-    @property
-    def qc(self):
-        return self.Cc.shape[0]
-
-    @property
-    def pd(self):
-        return self.Ed.shape[1]
-
-    @property
-    def qd(self):
-        return self.Cd.shape[0]
-
-
-class _TimerEval:
-    """Timer-indexed matrix from a closure (rational gain arithmetic)."""
-
-    def __init__(self, fn, shape):
-        self._fn = fn
-        self.shape = shape
-
-    def eval(self, tau):
-        return self._fn(tau)
-
-
-def closed_loop(plant, gains):
-    """Error system(s) induced by synthesized gains.
-
-    For a measured impulsive plant returns one system; for a switched
-    plant (with one gain set per mode) a list of per-mode systems with
-    identity jumps, suitable for ``simulate`` with a moded sequence.
-    Timer-varying gains are evaluated exactly at each integration stage.
-    """
-    def closed(A, C, L, deg, shape):
-        if deg == 0:
-            A0 = A.eval(0.0)
-            return _TimerEval(lambda tau: A0 - L(tau) @ C, shape)
-        return _TimerEval(lambda tau: A.eval(tau) - L(tau) @ C, shape)
-
-    if isinstance(plant, observer.SwitchedPlant):
-        if len(gains) != plant.n_modes:
-            raise ValueError(
-                f"got {len(gains)} gain sets for {plant.n_modes} modes")
-        out = []
-        n = plant.n
-        for i, g in enumerate(gains):
-            L = _gain_fn(g)
-            deg = plant.flow_degree(i)
-            pc = plant.Ec[i].shape[1]
-            out.append(ClosedLoopSystem(
-                A=closed(plant.A[i], plant.C_y[i], L, deg, (n, n)),
-                Gc=closed(plant.Gc[i], plant.H_y[i], L, deg, (n, n)),
-                Ec=closed(plant.Ec[i], plant.F_y[i], L, deg, (n, pc)),
-                Cc=plant.M.copy(), Hc=np.zeros((plant.M.shape[0], n)),
-                Fc=np.zeros((plant.M.shape[0], pc)),
-                J=np.eye(n), Gd=np.zeros((n, n)), Ed=np.zeros((n, 0)),
-                Cd=np.zeros((0, n)), Hd=np.zeros((0, n)),
-                Fd=np.zeros((0, 0)), h_c=plant.h_c, h_d=0))
-        return out
-
-    if not isinstance(plant, observer.ObservedPlant):
-        raise TypeError("plant must be a measured impulsive or switched plant")
-    g = gains
-    L = _gain_fn(g)
-    L_d = g[1] if isinstance(g, tuple) else getattr(g, "L_d", None)
-    if L_d is None:
-        L_d = np.zeros((plant.n, plant.qd))
-    n, deg = plant.n, plant.flow_degree
-    return ClosedLoopSystem(
-        A=closed(plant.A, plant.C_yc, L, deg, (n, n)),
-        Gc=closed(plant.Gc, plant.H_yc, L, deg, (n, n)),
-        Ec=closed(plant.Ec, plant.F_yc, L, deg, (n, plant.pc)),
-        Cc=plant.M_c.copy(), Hc=np.zeros((plant.M_c.shape[0], n)),
-        Fc=np.zeros((plant.M_c.shape[0], plant.pc)),
-        J=plant.J - L_d @ plant.C_yd, Gd=plant.Gd - L_d @ plant.H_yd,
-        Ed=plant.Ed - L_d @ plant.F_yd, Cd=plant.M_d.copy(),
-        Hd=np.zeros((plant.M_d.shape[0], n)),
-        Fd=np.zeros((plant.M_d.shape[0], plant.pd)),
-        h_c=plant.h_c, h_d=plant.h_d)
-
-
-def _gain_fn(gains):
-    """Continuous injection gain as a callable of the timer, memoizing
-    the last evaluation (the three flow blocks share each stage timer)."""
-    if isinstance(gains, tuple):
-        gains = gains[0]
-    if hasattr(gains, "L_c_at"):
-        raw = gains.L_c_at
-        last: list = [None, None]
-
-        def memo(tau):
-            if last[0] != tau:
-                last[0], last[1] = tau, raw(tau)
-            return last[1]
-
-        return memo
-    L = np.asarray(gains, dtype=float)
-    return lambda _tau: L
+# observer runs
 
 
 def simulate_with_observer(plant, gains, seq: DwellSequence, *,
@@ -629,111 +493,64 @@ def simulate_with_observer(plant, gains, seq: DwellSequence, *,
     lower bound, the upper one by its upper bound, each corrected through
     the injection gain.  Ordered initial histories phi0_minus <= phi0 <=
     phi0_plus give x^-(t) <= x(t) <= x^+(t) whenever the closed error
-    dynamics are internally positive.  Bounds default to the ones stored
-    on the plant; ``z_c`` holds the weighted bracket width M_c (x^+ - x^-).
+    dynamics are internally positive.  ``gains`` takes every gain form of
+    :func:`posimp.observer.error_system`, one per mode for switched
+    plants.  Bounds default to the ones stored on the plant; ``z_c`` holds
+    the weighted bracket width M_c (x^+ - x^-).
+
+    The pair runs as one 3n-state delayed system on (x, x^-, x^+), see
+    :func:`_framers`, through the engine of :func:`simulate`.
     """
-    switched = isinstance(plant, observer.SwitchedPlant)
-    n = plant.n
     if phi0_minus is None or phi0_plus is None:
         raise ValueError("observer runs need phi0_minus and phi0_plus")
-    cb = w_c_bounds if w_c_bounds is not None else getattr(
-        plant, "w_c_bounds", None)
-    if cb is None:
-        cb = (_zero_input(plant.pc if not switched else plant.p),) * 2
-    db = w_d_bounds if w_d_bounds is not None else getattr(
-        plant, "w_d_bounds", None)
-
-    phi_x = _as_phi(phi0, n)
-    phi_m = _as_phi(phi0_minus, n)
-    phi_p = _as_phi(phi0_plus, n)
-
-    def phi(s):
-        return np.concatenate([phi_x(s), phi_m(s), phi_p(s)])
-
-    if switched:
-        if seq.modes is None:
-            raise ValueError("switched observer runs need seq.modes")
-        gain_fns = [_gain_fn(g) for g in gains]
-        pc, qd = plant.p, 0
-        weights = plant.M
-
-        def blocks(mode):
-            return (plant.A[mode], plant.Gc[mode], plant.Ec[mode],
-                    plant.C_y[mode], plant.H_y[mode], plant.F_y[mode],
-                    gain_fns[mode])
+    closed = observer.error_system(plant, gains)
+    if isinstance(plant, observer.SwitchedPlant):
+        framers = [_framers(P, K) for P, K in zip(observer.error_system(plant), closed)]
+        pc, pd = plant.p, 0
     else:
-        gain_fn = _gain_fn(gains)
-        L_d = gains[1] if isinstance(gains, tuple) else gains.L_d
-        if L_d is None:
-            L_d = np.zeros((n, plant.qd))
-        pc, qd = plant.pc, plant.qd
-        weights = plant.M_c
+        framers = _framers(observer.error_system(plant), closed)
+        pc, pd = plant.pc, plant.pd
 
-        def blocks(_mode):
-            return (plant.A, plant.Gc, plant.Ec,
-                    plant.C_yc, plant.H_yc, plant.F_yc, gain_fn)
+    cb = w_c_bounds if w_c_bounds is not None else getattr(plant, "w_c_bounds", None)
+    db = w_d_bounds if w_d_bounds is not None else getattr(plant, "w_d_bounds", None)
+    w = [_input_fn(f, pc, name) for f, name in zip(
+        (w_c, *(cb or (None, None))), ("w_c", "w_c lower bound", "w_c upper bound"))]
+    if np.any(w[1](0.0) > w[0](0.0)) or np.any(w[0](0.0) > w[2](0.0)):
+        raise ValueError("disturbance leaves its declared bounds at t=0")
+    d = [_input_fn(f, pd, name) for f, name in zip(
+        (w_d, *(db or (None, None))), ("w_d", "w_d lower bound", "w_d upper bound"))]
+    phi = _stacked([_as_phi(f, plant.n) for f in (phi0, phi0_minus, phi0_plus)])
 
-    w_c = _input_fn(w_c, pc, "w_c")
-    wlo = _input_fn(cb[0], pc, "w_c lower bound")
-    whi = _input_fn(cb[1], pc, "w_c upper bound")
-    for t_probe in (0.0,):
-        if np.any(wlo(t_probe) > w_c(t_probe)) or \
-                np.any(w_c(t_probe) > whi(t_probe)):
-            raise ValueError("disturbance leaves its declared bounds at t=0")
+    trace = _simulate(framers, seq, _stacked(w), _stacked(d), horizon, step, phi)
+    x, xminus, xplus = np.split(trace.x, 3, axis=1)
+    return dataclasses.replace(trace, x=x, xminus=xminus, xplus=xplus)
 
-    min_dwell = min(seq.dwells)
-    requested = step if step is not None else min(plant.h_c, min_dwell) / 16.0
-    h = _adjust_step(requested, plant.h_c, min_dwell)
-    if step is not None and h < step * (1.0 - 1e-12):
-        warnings.warn(f"step adjusted from {step:.6g} to {h:.6g} to divide "
-                      "h_c and respect the shortest dwell", stacklevel=2)
 
-    def flow(mode, t, tau, X, Xd):
-        A, Gc, Ec, C, H, F, Lf = blocks(mode)
-        At, Gt, Et, Lt = A.eval(tau), Gc.eval(tau), Ec.eval(tau), Lf(tau)
-        x, xm, xp = X[:n], X[n:2 * n], X[2 * n:]
-        xd, xmd, xpd = Xd[:n], Xd[n:2 * n], Xd[2 * n:]
-        w, lo, hi = w_c(t), wlo(t), whi(t)
-        y = C @ x + H @ xd + F @ w
-        dx = At @ x + Gt @ xd + Et @ w
-        dxm = At @ xm + Gt @ xmd + Et @ lo - Lt @ (C @ xm + H @ xmd
-                                                   + F @ lo - y)
-        dxp = At @ xp + Gt @ xpd + Et @ hi - Lt @ (C @ xp + H @ xpd
-                                                   + F @ hi - y)
-        return np.concatenate([dx, dxm, dxp])
+def _framers(P, K) -> delay.DelaySystem:
+    """The plant P (its error system at zero gain) and the framers of the
+    closed error system K as one delayed system on (x, x^-, x^+): each
+    framer is its plant copy corrected by L (y^-/+ - y), so every block
+    lifts to [[P, 0, 0], [P - K, K, 0], [P - K, 0, K]].  The inputs are
+    (w, w_lo, w_hi) and the output is the bracket width [0, -M, M] x."""
+    M = K.Cc
+    return delay.DelaySystem.build(
+        **{b: _lift(getattr(P, b), getattr(K, b)) for b in ("A", "Gc", "Ec", "J", "Gd", "Ed")},
+        Cc=np.hstack([np.zeros_like(M), -M, M]), h_c=K.h_c, h_d=K.h_d)
 
-    def outmap(_mode, _t, _tau, X, _Xd):
-        return weights @ (X[2 * n:] - X[n:2 * n])
 
-    if switched:
-        def jump(_mode, _k, _t, X_pre, _X_kd):
-            return X_pre, np.zeros(0)
-    else:
-        pd = plant.pd
-        w_d = _input_fn(w_d, pd, "w_d")
-        dlo = _input_fn(db[0] if db else None, pd, "w_d lower bound")
-        dhi = _input_fn(db[1] if db else None, pd, "w_d upper bound")
-
-        def jump(_mode, k, _t, X_pre, X_kd):
-            x, xm, xp = X_pre[:n], X_pre[n:2 * n], X_pre[2 * n:]
-            xk, xmk, xpk = X_kd[:n], X_kd[n:2 * n], X_kd[2 * n:]
-            w, lo, hi = w_d(k), dlo(k), dhi(k)
-            y = plant.C_yd @ x + plant.H_yd @ xk + plant.F_yd @ w
-            xn = plant.J @ x + plant.Gd @ xk + plant.Ed @ w
-            xmn = (plant.J @ xm + plant.Gd @ xmk + plant.Ed @ lo
-                   - L_d @ (plant.C_yd @ xm + plant.H_yd @ xmk
-                            + plant.F_yd @ lo - y))
-            xpn = (plant.J @ xp + plant.Gd @ xpk + plant.Ed @ hi
-                   - L_d @ (plant.C_yd @ xp + plant.H_yd @ xpk
-                            + plant.F_yd @ hi - y))
-            return np.concatenate([xn, xmn, xpn]), np.zeros(0)
-
-    h_d = 0 if switched else plant.h_d
-    ts, Xs, zs, jumps, seq_used = _run(
-        3 * n, plant.h_c, h_d, phi, seq, horizon, h, flow, jump, outmap)
-    return SimulationTrace(
-        ts, Xs[:, :n], zs, jumps, h, float(requested), seq_used,
-        xminus=Xs[:, n:2 * n], xplus=Xs[:, 2 * n:])
+def _lift(P, K):
+    if isinstance(K, core.TimerFunction):  # RK4 stages 2 and 3 share one timer value
+        return core.TimerFunction(functools.lru_cache(maxsize=1)(
+            lambda tau: _lift(P.eval(tau), K.eval(tau))), (3 * K.shape[0], 3 * K.shape[1]))
+    if isinstance(K, core.TimerMatrixFunction):
+        return core.TimerMatrixFunction([_lift(p, k) for p, k in itertools.zip_longest(
+            P.coeffs, K.coeffs, fillvalue=np.zeros(K.shape))])
+    n, m = K.shape
+    out = np.zeros((3 * n, 3 * m))
+    out[:n, :m] = P
+    out[n:2 * n, :m] = out[2 * n:, :m] = P - K
+    out[n:2 * n, m:2 * m] = out[2 * n:, 2 * m:] = K
+    return out
 
 
 # ---------------------------------------------------------------------------

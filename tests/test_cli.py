@@ -1,12 +1,14 @@
 """The JSON front end: loading the fixtures, schema errors, and the
-certify / synthesize commands against the library calls they stand for."""
+certify / synthesize / simulate commands against the library calls they
+stand for."""
 
 import json
 import os
 
+import numpy as np
 import pytest
 
-from posimp import certify, cli, core, observer
+from posimp import certify, cli, core, observer, sim
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
@@ -118,3 +120,68 @@ def test_synthesize_command_matches_the_library(tmp_path):
     # the result document loads back with the synthesized gains
     again = cli.build(doc)
     assert again.gains.L_c_at(0.2) == pytest.approx(ref.L_c_at(0.2), rel=1e-12)
+
+
+def test_simulate_command_with_constant_gains(tmp_path, capsys):
+    csv = tmp_path / "trace.csv"
+    assert cli.main(["simulate", _fixture("min_observer_plant"), "--seq", "gen:1",
+                     "--horizon", "10", "--out", str(csv)]) == 0
+    assert "enclosure: holds at every sample" in capsys.readouterr().out
+    assert csv.read_text().splitlines()[0] == "t,x_1,x_2,xminus_1,xminus_2,xplus_1,xplus_2"
+
+
+@pytest.fixture
+def synthesized(tmp_path):
+    """The synthesize result document of range_observer_plant, and the
+    gains synthesized by the library for the same file."""
+    out = tmp_path / "syn.json"
+    assert cli.main(["synthesize", _fixture("range_observer_plant"), "--out", str(out)]) == 0
+    loaded = cli.load(_fixture("range_observer_plant"))
+    ref = observer.synthesize_range(loaded.system, loaded.constraint, loaded.scalings,
+                                    loaded.synthesis_options, gain_box=loaded.gain_box)
+    return out, ref
+
+
+def test_simulate_with_reloaded_gains_matches_fresh_gains_bit_for_bit(
+        synthesized, tmp_path, monkeypatch):
+    out, ref = synthesized
+    runs = []
+    real = sim.simulate_with_observer
+
+    def spy(plant, gains, seq, **kw):
+        runs.append((plant, gains, seq, kw))
+        return real(plant, gains, seq, **kw)
+
+    monkeypatch.setattr(sim, "simulate_with_observer", spy)
+    csv = tmp_path / "trace.csv"
+    assert cli.main(["simulate", str(out), "--seq", "gen:3", "--horizon", "4",
+                     "--out", str(csv)]) == 0
+    (plant, gains, seq, kw), = runs
+    assert isinstance(gains, observer.StoredGains)
+    stored, fresh = real(plant, gains, seq, **kw), real(plant, ref, seq, **kw)
+    for name in ("t", "x", "xminus", "xplus", "z_c"):
+        assert np.array_equal(getattr(stored, name), getattr(fresh, name))
+    data = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.array_equal(data, np.hstack([fresh.t[:, None], fresh.x, fresh.xminus, fresh.xplus]))
+
+
+@pytest.mark.parametrize("field, edit, message", [
+    ("L_d", lambda v: [[1.0, 2.0, 3.0]], "result.gains.L_d: expected shape 2x1, got 1x3"),
+    ("X", lambda v: v + [v[0]], "result.gains.X: expected shape 2x21, got 3x21"),
+    ("Y_c", lambda v: v + [v[0]], "result.gains.Y_c: expected shape 2x1x21, got 3x1x21"),
+    ("nodes", lambda v: v[:-1], "result.gains.X: expected shape 2x20, got 2x21"),
+    ("X", lambda v: [[None] * len(v[0])] * 2, "result.gains.X: expected finite numbers"),
+])
+def test_reloaded_gains_are_checked_against_the_plant(synthesized, field, edit, message):
+    out, _ = synthesized
+    doc = json.loads(out.read_text())
+    doc["result"]["gains"][field] = edit(doc["result"]["gains"][field])
+    with pytest.raises(cli.SchemaError) as err:
+        cli.build(doc)
+    assert str(err.value) == message
+
+
+def test_certify_command_refuses_reloaded_exact_gains(synthesized, capsys):
+    out, _ = synthesized
+    assert cli.main(["certify", str(out), "--out", str(out.with_suffix(".cert.json"))]) == 1
+    assert "exact observer gain" in capsys.readouterr().err

@@ -309,7 +309,7 @@ def test_observer_error_equals_closed_loop_trajectory():
         phi0_plus=lambda s: phi0(s) + 0.25,
         horizon=4.0, step=0.1,
         w_c_bounds=(minus_one, one), w_d_bounds=(minus_one, one))
-    err = sim.closed_loop(plant, g)
+    err = observer.error_system(plant, g)
     tre = sim.simulate(err, seq,
                        w_c=lambda t: np.array([1.0]) - w_c(t),
                        w_d=lambda k: np.array([1.0]) - w_d(k),
@@ -351,7 +351,7 @@ def test_switched_simulation_follows_mode_schedule():
     opts = observer.SynthesisOptions(n_nodes=13)
     gains = observer.synthesize_switched(plant, core.Minimum(1.0),
                                          observer.CONSTANT, opts)
-    cl = sim.closed_loop(plant, gains)
+    cl = observer.error_system(plant, gains)
     seq = sim.DwellSequence.build([1.0, 1.5, 1.2, 1.0], modes=[0, 1, 1, 0])
     tr = sim.simulate(cl, seq, w_c=lambda t: np.array([0.5]),
                       horizon=4.0, step=0.1)
