@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, lp, pwl, rows
+from .rows import Infeasible
 
 
 @dataclass(frozen=True)
@@ -59,35 +60,20 @@ class Certificate:
         return lp.verify(self.program, self.assignment, feastol)
 
 
-@dataclass
-class Infeasible:
-    kind: str
-    constraint: core.DwellTimeConstraint
-    rows: list[tuple[str, float]]      # named conditions with Farkas weight
-    margin: float
-
-    def __str__(self):
-        head = f"no {self.kind} certificate exists for {self.constraint}"
-        if self.rows:
-            conds = ", ".join(n for n, _ in self.rows[:8])
-            more = "" if len(self.rows) <= 8 else f" (+{len(self.rows) - 8} more)"
-            return f"{head}; conflicting conditions: {conds}{more}"
-        return head
-
-
 CertifyResult = Certificate | Infeasible
 
 
 class _CertProgram(rows.DecayProgram):
     """Certificate variables and the rows of the certificate variants."""
 
-    def __init__(self, name, sys, nodes, scalings, options):
+    def __init__(self, name, sys, nodes, scalings, options, minimum: bool):
         super().__init__(name, nodes, options.margin, options.eps_min)
         self.sys = sys
         self.opt = options
-        # zeta: free except strictly positive where the theorems demand it
-        self.zeta_idx = rows.add_vars(self.p, "zeta[{}]@n{}", (sys.n, nodes.size))
-        self.strict_zeta_nodes: set[int] = set()
+        # zeta is free but positive at tau = 0 and, frozen past tbar, at tbar
+        strict = np.full(nodes.size, -np.inf)
+        strict[[0, -1] if minimum else 0] = options.margin
+        self.zeta_idx = rows.add_vars(self.p, "zeta[{}]@n{}", (sys.n, nodes.size), lb=strict)
         # scaling families; the continuous one is per node unless constant
         self.mu_c = self.mu_d = None
         if scalings is not None and sys.ncD:
@@ -95,11 +81,6 @@ class _CertProgram(rows.DecayProgram):
             self.mu_c = self._scaling(kc, sys.ncD, "mu_c", kc != "constant")
         if scalings is not None and sys.ndD:
             self.mu_d = self._scaling(scalings.discrete, sys.ndD, "mu_d", False)
-
-    def require_positive_zeta(self, node: int) -> None:
-        for j in self.zeta_idx[:, node]:
-            self.p._lb[j] = self.opt.margin
-        self.strict_zeta_nodes.add(node)
 
     def _scaling(self, kind, size: int, name: str, per_node: bool) -> np.ndarray:
         """Positive scaling variables of one channel, one per entry or, for
@@ -154,13 +135,9 @@ class _CertProgram(rows.DecayProgram):
 
     # -- outcome -------------------------------------------------------------
     def finish(self, kind, constraint, sound, restriction=None) -> CertifyResult:
-        self.p.set_objective({self.gamma: 1.0})
-        out = lp.solve(self.p, feastol=self.opt.feastol)
-        if out.status == "infeasible":
-            return Infeasible(kind, constraint, out.rows_used, out.margin)
-        if out.status != "optimal":  # pragma: no cover - gamma is bounded below
-            raise lp.SolverError(f"unexpected solver status {out.status}")
-        x = out.x
+        x = self.minimize_gamma(kind, constraint, self.opt.feastol)
+        if isinstance(x, Infeasible):
+            return x
         N = self.nodes.size
         zeta = pwl.PwlVector(self.nodes, x[self.zeta_idx])
         mu_c = mu_d = None
@@ -177,14 +154,10 @@ class _CertProgram(rows.DecayProgram):
 
 
 def _certify(name, kind, sys, dt, scalings, options, minimum: bool) -> CertifyResult:
-    """Certificate program on a grid up to tmax (range) or tbar (minimum);
-    zeta is strictly positive at tau = 0 and, frozen past tbar, at tbar."""
+    """Certificate program on a grid up to tmax (range) or tbar (minimum)."""
     options = options or CertifyOptions()
     nodes = pwl.uniform_nodes(dt.tbar if minimum else dt.tmax, options.n_nodes)
-    prog = _CertProgram(name, sys, nodes, scalings, options)
-    prog.require_positive_zeta(0)
-    if minimum:
-        prog.require_positive_zeta(nodes.size - 1)
+    prog = _CertProgram(name, sys, nodes, scalings, options, minimum)
     return prog.finish(kind, dt, prog.build(dt, minimum))
 
 

@@ -7,6 +7,9 @@ are re-verified against the original rows, infeasibility carries Farkas
 multipliers that ``farkas_check`` validates against the variable box, and an
 unbounded ray is checked against every row.  ``dump`` gives a canonical text
 form for exact row-level comparison of differently-built programs.
+
+Rows are kept as one coordinate list from :meth:`LinearProgram.add_rows`,
+which takes whole blocks, to the HiGHS column matrix, the checks and dump.
 """
 
 from __future__ import annotations
@@ -47,8 +50,10 @@ class LinearProgram:
     """minimize c.x  subject to rows a.x (<=|==|>=) b and box bounds on x.
 
     Variables and rows are identified by insertion order; names are kept
-    for reporting and for the canonical dump.  Instances are treated as
-    immutable once handed to :func:`solve`.
+    for reporting and for the canonical dump.  Coefficient k puts ``_val[k]``
+    on variable ``_col[k]`` in row ``_row[k]``, sorted by row, then variable,
+    at most once per pair; ``_names``, ``_rel`` and ``_rhs`` are per row.
+    Instances are treated as immutable once handed to :func:`solve`.
     """
 
     def __init__(self, name: str = "lp"):
@@ -56,8 +61,12 @@ class LinearProgram:
         self._var_names: list[str] = []
         self._lb: list[float] = []
         self._ub: list[float] = []
-        # rows: (name, var-index array, coefficient array, relation, rhs)
-        self._rows: list[tuple[str, np.ndarray, np.ndarray, str, float]] = []
+        self._names: list[str] = []
+        self._rel = np.zeros(0, dtype="<U2")
+        self._rhs = np.zeros(0)
+        self._row = np.zeros(0, dtype=np.int64)
+        self._col = np.zeros(0, dtype=np.int64)
+        self._val = np.zeros(0)
         self._obj: dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -72,25 +81,47 @@ class LinearProgram:
         self._ub.append(u)
         return len(self._var_names) - 1
 
-    def add_row(self, name: str, coeffs, rel: str, rhs: float) -> int:
-        if rel not in _RELS:
-            raise ValueError(f"row {name}: unknown relation {rel!r}")
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        acc: dict[int, float] = {}
-        for j, c in items:
-            j = int(j)
-            if not 0 <= j < len(self._var_names):
-                raise IndexError(f"row {name}: variable index {j} out of range")
-            c = float(c)
-            if c != 0.0:
-                acc[j] = acc.get(j, 0.0) + c
-        idx = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
-        coef = np.fromiter(acc.values(), dtype=np.float64, count=len(acc))
-        self._rows.append((name, idx, coef, rel, float(rhs)))
-        return len(self._rows) - 1
+    def add_rows(self, names, rows, cols, vals, rel: str, rhs) -> None:
+        """Add one row per entry of ``names``, all with relation ``rel``.
 
-    def add_to_objective(self, j: int, coef: float) -> None:
-        self._obj[j] = self._obj.get(j, 0.0) + float(coef)
+        Coefficient k puts ``vals[k]`` on variable ``cols[k]`` in new row
+        ``rows[k]`` (counted from 0 within this call); ``rhs`` is one value
+        or one per row.  Zero values are left out, and the values of a
+        variable repeated in a row are summed in the given order, so a
+        cancelling pair stays as an explicit 0.0.
+        """
+        names = list(names)
+        if rel not in _RELS:
+            raise ValueError(f"row {names[0] if names else '?'}: unknown relation {rel!r}")
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=float)
+        if not rows.ndim == 1 or rows.shape != cols.shape or rows.shape != vals.shape:
+            raise ValueError(f"rows, cols and vals must be 1-d and of one length, got shapes "
+                             f"{rows.shape}, {cols.shape}, {vals.shape}")
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (len(names),))
+        bad = np.flatnonzero((rows < 0) | (rows >= len(names)))
+        if bad.size:
+            raise IndexError(f"row index {rows[bad[0]]} out of range for {len(names)} rows")
+        k = np.flatnonzero((cols < 0) | (cols >= self.num_vars))
+        if k.size:
+            raise IndexError(f"row {names[rows[k[0]]]}: variable index {cols[k[0]]} out of range")
+        hit = vals != 0.0
+        n = max(self.num_vars, 1)
+        key, at = np.unique(rows[hit] * n + cols[hit], return_inverse=True)
+        # bincount adds in input order, starting from 0.0
+        self._val = np.append(self._val, np.bincount(at, weights=vals[hit], minlength=key.size))
+        self._row = np.append(self._row, self.num_rows + key // n)
+        self._col = np.append(self._col, key % n)
+        self._names += names
+        self._rel = np.append(self._rel, np.full(len(names), rel))
+        self._rhs = np.append(self._rhs, rhs)
+
+    def add_row(self, name: str, coeffs, rel: str, rhs: float) -> int:
+        """One row from a {variable: coefficient} dict or (variable,
+        coefficient) pairs; see :meth:`add_rows`."""
+        pairs = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+        self.add_rows([name], [0] * len(pairs), [j for j, _ in pairs], [c for _, c in pairs], rel, rhs)
+        return self.num_rows - 1
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
         self._obj = {int(j): float(c) for j, c in coeffs.items() if c != 0.0}
@@ -103,22 +134,14 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self._rows)
+        return len(self._names)
 
     @property
     def var_names(self) -> list[str]:
         return list(self._var_names)
 
-    @property
-    def row_names(self) -> list[str]:
-        return [r[0] for r in self._rows]
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self._lb), np.array(self._ub)
-
-    def row_value(self, i: int, x: np.ndarray) -> float:
-        _, idx, coef, _, _ = self._rows[i]
-        return float(coef @ x[idx])
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(sum(c * x[j] for j, c in self._obj.items()))
@@ -170,26 +193,18 @@ def _highs_core():
                       "posimp solves with the HiGHS library bundled in scipy>=1.15,<1.18")
 
 
-def _columns(lp: LinearProgram):
-    """The rows of ``lp`` as a column-wise matrix: (start, row index, value)."""
-    col = np.concatenate([np.zeros(0, np.int64)] + [r[1] for r in lp._rows])
-    val = np.concatenate([np.zeros(0)] + [r[2] for r in lp._rows])
-    row = np.repeat(np.arange(lp.num_rows, dtype=np.int32), [r[1].size for r in lp._rows])
-    order = np.argsort(col, kind="stable")
-    start = np.searchsorted(col[order], np.arange(lp.num_vars + 1)).astype(np.int32)
-    return start, row[order], val[order]
-
-
 def _run(cost, col_lower, col_upper, matrix, rels, rhs, program=None):
     """Run HiGHS on  min cost.x  s.t.  matrix.x (rels) rhs,  x in the box."""
     h = _highs_core()
     highs = h._Highs()
     for key, val in _HIGHS_OPTIONS.items():
         highs.setOptionValue(key, val)
-    highs.passModel(cost.size, rhs.size, matrix[1].size, int(h.MatrixFormat.kColwise),
-                    int(h.ObjSense.kMinimize), 0.0, cost, col_lower, col_upper,
-                    np.where(rels == LE, -np.inf, rhs), np.where(rels == GE, np.inf, rhs),
-                    *matrix, np.zeros(cost.size, np.int32))  # all columns continuous
+    if highs.passModel(cost.size, rhs.size, matrix[1].size, int(h.MatrixFormat.kColwise),
+                       int(h.ObjSense.kMinimize), 0.0, cost, col_lower, col_upper,
+                       np.where(rels == LE, -np.inf, rhs), np.where(rels == GE, np.inf, rhs),
+                       *matrix, np.zeros(cost.size, np.int32)) == h.HighsStatus.kError:
+        raise SolverError("HiGHS refused the program: "
+                          + _refusal(matrix[2], col_lower, col_upper, rhs))
     if highs.run() == h.HighsStatus.kError and highs.getModelStatus() == h.HighsModelStatus.kNotset:
         # another HiGHS user in this process sized the shared thread pool
         # differently; a thread count of 0 joins that pool
@@ -201,16 +216,29 @@ def _run(cost, col_lower, col_upper, matrix, rels, rhs, program=None):
     return highs
 
 
+def _refusal(values, col_lower, col_upper, rhs) -> str:
+    """Why HiGHS refuses a model; its own message goes to its log, which is off."""
+    big = np.abs(values).max(initial=0.0)
+    return "; ".join(why for bad, why in (
+        (big >= 1e15, f"a coefficient has magnitude {big:g}, and HiGHS admits only magnitudes "
+                      "below 1e+15"),
+        (np.isnan(np.concatenate([col_lower, col_upper, rhs])).any(),
+         "a bound or right-hand side is NaN"),
+        ((col_lower == np.inf).any() or (col_upper == -np.inf).any(),
+         "a variable has lower bound +inf or upper bound -inf")) if bad) or "no known reason"
+
+
 def solve(lp: LinearProgram, feastol: float = 1e-8):
     """Solve the program.  Returns LpSolution, LpInfeasible or LpUnbounded,
     each after its check (:func:`verify`, :func:`farkas_check`, the ray
-    check); raises SolverError when the check fails."""
-    matrix = _columns(lp)
-    rels = np.array([r[3] for r in lp._rows], dtype="<U2")
-    rhs = np.array([r[4] for r in lp._rows], dtype=float)
+    check); raises SolverError when HiGHS refuses the program or a check
+    fails."""
+    order = np.argsort(lp._col, kind="stable")  # column-wise, rows ascending
+    matrix = (np.searchsorted(lp._col[order], np.arange(lp.num_vars + 1)).astype(np.int32),
+              lp._row[order].astype(np.int32), lp._val[order])
     cost = np.zeros(lp.num_vars)
     cost[list(lp._obj)] = list(lp._obj.values())
-    highs = _run(cost, *lp.bounds(), matrix, rels, rhs)
+    highs = _run(cost, *lp.bounds(), matrix, lp._rel, lp._rhs)
     status, codes = highs.getModelStatus(), _highs_core().HighsModelStatus
     extra, out = [], None
     if status == codes.kOptimal:
@@ -223,12 +251,12 @@ def solve(lp: LinearProgram, feastol: float = 1e-8):
         out = LpSolution("optimal", x, lp.objective_value(x), lp.var_names)
     elif status in (codes.kInfeasible, codes.kUnboundedOrInfeasible):
         extra.append("elastic")
-        out = _infeasible_outcome(lp, matrix, rels, rhs, feastol)
+        out = _infeasible_outcome(lp, matrix, feastol)
     elif status != codes.kUnbounded:
         raise SolverError(f"HiGHS stopped with model status {highs.modelStatusToString(status)}")
     if out is None:
         extra.append("ray")
-        out = _unbounded_outcome(lp, matrix, rels, cost, feastol)
+        out = _unbounded_outcome(lp, matrix, cost, feastol)
     # DEBUG can only be on once something has imported logging; importing
     # it here would cost every process half a megabyte
     logging = sys.modules.get("logging")
@@ -240,74 +268,69 @@ def solve(lp: LinearProgram, feastol: float = 1e-8):
     return out
 
 
-def _infeasible_outcome(lp, matrix, rels, rhs, feastol):
+def _infeasible_outcome(lp, matrix, feastol):
     """Farkas multipliers from the row duals of the always feasible elastic
     program  min sum(s)  s.t.  a.x - s <= b,  a.x + s >= b,  a.x + s' - s'' == b,
     s >= 0.  Returns None when its optimum is zero: the rows can be met."""
     start, index, value = matrix
-    eq = np.nonzero(rels == EQ)[0]
-    srow = np.concatenate([np.arange(rels.size), eq]).astype(np.int32)
+    eq = np.nonzero(lp._rel == EQ)[0]
+    srow = np.concatenate([np.arange(lp.num_rows), eq]).astype(np.int32)
     k = srow.size
     elastic = (np.append(start, start[-1] + np.arange(1, k + 1, dtype=np.int32)), np.append(index, srow),
-               np.concatenate([value, np.where(rels == LE, -1.0, 1.0), -np.ones(eq.size)]))
+               np.concatenate([value, np.where(lp._rel == LE, -1.0, 1.0), -np.ones(eq.size)]))
     lb, ub = lp.bounds()
     highs = _run(np.append(np.zeros(lp.num_vars), np.ones(k)), np.append(lb, np.zeros(k)),
-                 np.append(ub, np.full(k, np.inf)), elastic, rels, rhs, "elastic")
+                 np.append(ub, np.full(k, np.inf)), elastic, lp._rel, lp._rhs, "elastic")
     if highs.getInfo().objective_function_value <= feastol:
         return None
     y = np.array(highs.getSolution().row_dual)
-    u = np.where(rels == GE, y, -y)
+    u = np.where(lp._rel == GE, y, -y)
     u[np.abs(u) < 1e-12] = 0.0
     valid, margin = farkas_check(lp, u, feastol)
     if not valid:
         raise SolverError("infeasibility detected but the Farkas certificate failed its check")
-    used = [(lp._rows[i][0], float(u[i])) for i in np.nonzero(np.abs(u) > 1e-9)[0]]
+    used = [(lp._names[i], float(u[i])) for i in np.nonzero(np.abs(u) > 1e-9)[0]]
     return LpInfeasible("infeasible", u, margin, used)
 
 
-def _unbounded_outcome(lp, matrix, rels, cost, feastol):
+def _unbounded_outcome(lp, matrix, cost, feastol):
     """An improving ray: min c.d over the homogeneous rows and the recession
     cone of the box, with |d_j| <= 1."""
     lb, ub = lp.bounds()
+    zero = np.zeros(lp.num_rows)
     highs = _run(cost, np.where(np.isinf(lb), -1.0, 0.0), np.where(np.isinf(ub), 1.0, 0.0),
-                 matrix, rels, np.zeros(rels.size), "ray")
+                 matrix, lp._rel, zero, "ray")
     d = np.array(highs.getSolution().col_value)
     # sanity: the ray must not increase the objective and must respect rows
     if lp.objective_value(d) > -1e-9:
         raise SolverError("unbounded ray fails to improve the objective")
-    for name, idx, coef, rel, _ in lp._rows:
-        g = float(coef @ d[idx])
-        if (rel == LE and g > feastol) or (rel == GE and g < -feastol) or (rel == EQ and abs(g) > feastol):
-            raise SolverError(f"unbounded ray violates row {name}")
+    bad = np.flatnonzero(~(_row_excess(lp, d, zero) <= feastol))
+    if bad.size:
+        raise SolverError(f"unbounded ray violates row {lp._names[bad[0]]}")
     return LpUnbounded("unbounded", d)
+
+
+def _row_excess(lp: LinearProgram, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per row, how far a.x lies outside the relation to ``rhs`` (<= 0 when met)."""
+    ax = np.bincount(lp._row, weights=lp._val * x[lp._col], minlength=lp.num_rows)
+    return np.select([lp._rel == LE, lp._rel == GE], [ax - rhs, rhs - ax], np.abs(ax - rhs))
 
 
 def verify(lp: LinearProgram, x, feastol: float = 1e-8) -> list[Violation]:
     """Residual check of a point against all rows and bounds.
 
-    Returns the (possibly empty) list of violations larger than feastol.
+    Returns the (possibly empty) list of violations: every row and bound
+    whose excess is not at most feastol, NaN included.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.num_vars,):
         raise ValueError(f"expected {lp.num_vars} values, got shape {x.shape}")
-    out: list[Violation] = []
-    for name, idx, coef, rel, rhs in lp._rows:
-        v = float(coef @ x[idx])
-        if rel == LE:
-            amt = v - rhs
-        elif rel == GE:
-            amt = rhs - v
-        else:
-            amt = abs(v - rhs)
-        if amt > feastol:
-            out.append(Violation(name, amt))
+    rows = _row_excess(lp, x, lp._rhs)
     lb, ub = lp.bounds()
-    for j in range(lp.num_vars):
-        if x[j] < lb[j] - feastol:
-            out.append(Violation(f"bound:{lp._var_names[j]}", float(lb[j] - x[j])))
-        elif x[j] > ub[j] + feastol:
-            out.append(Violation(f"bound:{lp._var_names[j]}", float(x[j] - ub[j])))
-    return out
+    box = np.maximum(lb - x, x - ub)
+    return ([Violation(lp._names[i], float(rows[i])) for i in np.flatnonzero(~(rows <= feastol))]
+            + [Violation(f"bound:{lp._var_names[j]}", float(box[j]))
+               for j in np.flatnonzero(~(box <= feastol))])
 
 
 def farkas_check(lp: LinearProgram, u, feastol: float = 1e-8) -> tuple[bool, float]:
@@ -324,34 +347,17 @@ def farkas_check(lp: LinearProgram, u, feastol: float = 1e-8) -> tuple[bool, flo
     u = np.asarray(u, dtype=float)
     if u.shape != (lp.num_rows,):
         raise ValueError(f"expected {lp.num_rows} multipliers, got shape {u.shape}")
-    c = np.zeros(lp.num_vars)
-    rhs = 0.0
-    for i, (name, idx, coef, rel, b) in enumerate(lp._rows):
-        ui = u[i]
-        if ui == 0.0:
-            continue
-        if rel in (LE, EQ):
-            if rel == LE and ui < -feastol:
-                return False, -np.inf
-            np.add.at(c, idx, ui * coef)
-            rhs += ui * b
-        else:  # GE row, normalized by negation
-            if ui < -feastol:
-                return False, -np.inf
-            np.add.at(c, idx, -ui * coef)
-            rhs += ui * (-b)
+    if (u[lp._rel != EQ] < -feastol).any():
+        return False, -np.inf
+    w = np.where(lp._rel == GE, -u, u)  # multipliers of the rows in '<=' form
+    c = np.bincount(lp._col, weights=w[lp._row] * lp._val, minlength=lp.num_vars)
     lb, ub = lp.bounds()
     scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    lo = 0.0
-    for j in range(lp.num_vars):
-        cj = c[j]
-        if abs(cj) <= 1e-9 * scale:
-            continue
-        v = cj * (lb[j] if cj > 0 else ub[j])
-        if not np.isfinite(v):
-            return False, -np.inf
-        lo += v
-    margin = lo - rhs
+    live = ~(np.abs(c) <= 1e-9 * scale)
+    v = c[live] * np.where(c[live] > 0, lb[live], ub[live])
+    if not np.isfinite(v).all():
+        return False, -np.inf
+    margin = v.sum() - w @ lp._rhs
     return margin > 0.0, float(margin)
 
 
@@ -367,8 +373,8 @@ def dump(lp: LinearProgram) -> str:
     lb, ub = lp.bounds()
     for j, nm in enumerate(lp._var_names):
         lines.append(f"var {nm} in [{float(lb[j])!r}, {float(ub[j])!r}]")
-    for name, idx, coef, rel, rhs in lp._rows:
-        order = np.argsort(idx, kind="stable")
-        terms = " + ".join(f"{float(coef[k])!r}*{lp._var_names[idx[k]]}" for k in order)
-        lines.append(f"{name}: {terms if terms else '0'} {rel} {rhs!r}")
+    terms = [f"{c!r}*{lp._var_names[j]}" for c, j in zip(lp._val.tolist(), lp._col.tolist())]
+    ends = np.searchsorted(lp._row, np.arange(lp.num_rows + 1)).tolist()
+    for i, (name, rel, rhs) in enumerate(zip(lp._names, lp._rel.tolist(), lp._rhs.tolist())):
+        lines.append(f"{name}: {' + '.join(terms[ends[i]:ends[i + 1]]) or '0'} {rel} {rhs!r}")
     return "\n".join(lines) + "\n"

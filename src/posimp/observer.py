@@ -429,28 +429,22 @@ class Synthesis(rows.DecayProgram):
         """Mode hand-off contraction: column sums of
         X_a(0) - X_b(Tbar) + eps I <= 0 for every ordered pair a != b
         (the state passes unchanged from mode b into mode a)."""
-        last = self.nodes.size - 1
-        for a, ba in enumerate(self.blocks):
-            for b, bb in enumerate(self.blocks):
-                if a == b:
-                    continue
-                for s in range(ba.n):
-                    terms = [(int(ba.x_idx[s, 0]), 1.0),
-                             (int(bb.x_idx[s, last]), -1.0),
-                             (self.eps, 1.0)]
-                    self.p.add_row(f"couple:m{a}.m{b}:x[{s}]", terms, lp.LE, 0.0)
+        pairs = [(a, b) for a in range(len(self.blocks)) for b in range(len(self.blocks)) if a != b]
+        a, b = np.array(pairs).T
+        x = np.array([blk.x_idx for blk in self.blocks])  # (mode, state, node)
+        n = x.shape[1]
+        cols = np.stack([x[a, :, 0], x[b, :, -1], np.full((a.size, n), self.eps)], axis=2)
+        self.p.add_rows([f"couple:m{i}.m{j}:x[{s}]" for i, j in pairs for s in range(n)],
+                        np.repeat(np.arange(cols.size // 3), 3), cols.ravel(),
+                        np.tile([1.0, -1.0, 1.0], cols.size // 3), lp.LE, 0.0)
 
     # -- outcome ---------------------------------------------------------------
     def solve(self):
         """Minimize gamma; returns ObserverGains (a list for switched
         plants, one per mode) or Infeasible with named conditions."""
-        self.p.set_objective({self.gamma: 1.0})
-        out = lp.solve(self.p, feastol=self.opt.feastol)
-        if out.status == "infeasible":
-            return Infeasible(self.kind, self.constraint, out.rows_used, out.margin)
-        if out.status != "optimal":  # pragma: no cover - gamma is bounded below
-            raise lp.SolverError(f"unexpected solver status {out.status}")
-        x = out.x
+        x = self.minimize_gamma(self.kind, self.constraint, self.opt.feastol)
+        if isinstance(x, Infeasible):
+            return x
         results = []
         for mi, blk in enumerate(self.blocks):
             X = pwl.PwlVector(self.nodes, x[blk.x_idx])
@@ -615,29 +609,21 @@ def gain_entry_box(synthesis: Synthesis, lo: float, hi: float) -> Synthesis:
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
         raise ValueError(f"empty gain box: lo={lo} > hi={hi}")
-    p = synthesis.p
+    sides = [(side, a, b) for side, bound, a, b in (("lo", lo, lo, -1.0), ("hi", hi, -hi, 1.0))
+             if np.isfinite(bound)]
+    gains = []  # (row name pattern, X, Y) per gain entry, in row order
     for blk in synthesis.blocks:
-        t = blk.tag
         for i in range(blk.n):
-            for r in range(blk.q_c):
-                for k in range(synthesis.nodes.size):
-                    xv, yv = int(blk.x_idx[i, k]), int(blk.yc_idx[i, r, k])
-                    if np.isfinite(lo):
-                        p.add_row(f"{t}box:lo:yc[{i}][{r}]@n{k}",
-                                  [(xv, lo), (yv, -1.0)], lp.LE, 0.0)
-                    if np.isfinite(hi):
-                        p.add_row(f"{t}box:hi:yc[{i}][{r}]@n{k}",
-                                  [(yv, 1.0), (xv, -hi)], lp.LE, 0.0)
+            gains += [(f"{blk.tag}box:{{}}:yc[{i}][{r}]@n{k}", blk.x_idx[i, k], blk.yc_idx[i, r, k])
+                      for r in range(blk.q_c) for k in range(synthesis.nodes.size)]
             if blk.yd_idx is not None:
-                xv = int(blk.x_idx[i, 0])
-                for r in range(blk.q_d):
-                    yv = int(blk.yd_idx[i, r])
-                    if np.isfinite(lo):
-                        p.add_row(f"{t}box:lo:yd[{i}][{r}]",
-                                  [(xv, lo), (yv, -1.0)], lp.LE, 0.0)
-                    if np.isfinite(hi):
-                        p.add_row(f"{t}box:hi:yd[{i}][{r}]",
-                                  [(yv, 1.0), (xv, -hi)], lp.LE, 0.0)
+                gains += [(f"{blk.tag}box:{{}}:yd[{i}][{r}]", blk.x_idx[i, 0], blk.yd_idx[i, r])
+                          for r in range(blk.q_d)]
+    # the row of (gain entry, side) is a X + b Y <= 0
+    cols = np.array([(x, y) for _, x, y in gains for _ in sides], dtype=np.int64).reshape(-1)
+    vals = np.tile(np.array([(a, b) for _, a, b in sides]).reshape(-1), len(gains))
+    synthesis.p.add_rows([name.format(side) for name, _, _ in gains for side, _, _ in sides],
+                         np.arange(cols.size) // 2, cols, vals, lp.LE, 0.0)
     return synthesis
 
 

@@ -13,14 +13,16 @@ the interpolation weights of a node-valued family.
 
 :class:`DecayProgram` emits the flow, stationarity and jump decay rows of
 every certificate and synthesis program; :func:`emit` adds the rows of any
-block, one numpy product per term.
+block in one ``add_rows`` call, one numpy product per term.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import compress
 import numpy as np
 
-from . import lp, pwl
+from . import core, lp, pwl
 
 _ONE = np.ones((1, 1))
 
@@ -31,8 +33,10 @@ def fmt(t: float) -> str:
 
 
 def add_vars(p: lp.LinearProgram, name: str, shape, lb=None, ub=None) -> np.ndarray:
-    """A family of new variables; ``name`` is formatted with each index."""
-    return np.array([p.add_var(name.format(*ix), lb=lb, ub=ub) for ix in np.ndindex(*shape)],
+    """A family of new variables; ``name`` is formatted with each index.
+    ``lb`` is one lower bound or an array of them broadcast to ``shape``."""
+    lbs = np.broadcast_to(-np.inf if lb is None else lb, shape)
+    return np.array([p.add_var(name.format(*ix), lb=lbs[ix], ub=ub) for ix in np.ndindex(*shape)],
                     dtype=np.int64).reshape(shape)
 
 
@@ -42,29 +46,32 @@ def emit(p: lp.LinearProgram, prefix: str, suffixes, groups, rel: str = lp.LE) -
     A group is (column names, terms, rhs per column, keep).  A term is
     (variables (m, K), weights (S or 1, K), coefficients (S or 1, m, ncols))
     and puts weights[s, k] * coefficients[s, r, j] on variables[r, k] in
-    the row of sample s and column j.  Products that are exactly zero are
-    left out, and ``add_row`` sums a repeated variable in term order, then
-    family order.  ``keep`` (S, ncols), when not None, selects the rows.
+    the row of sample s and column j.  ``keep`` (S, ncols), when not None,
+    selects the rows.
     """
     S = len(suffixes)
-    built = []
-    for cols, terms, rhs, keep in groups:
-        var = np.concatenate([v.ravel() for v, _, _ in terms])
-        val = np.concatenate([
+    keep = np.concatenate([np.ones((S, len(cols)), dtype=bool) if k is None else k
+                           for cols, _, _, k in groups], axis=1)
+    number = np.cumsum(keep).reshape(keep.shape) - 1  # (sample, column) -> row, once kept
+    row, var, val, first = [], [], [], 0
+    for cols, terms, _, _ in groups:
+        n = len(cols)
+        vals = np.concatenate([
             np.broadcast_to(np.swapaxes(c, 1, 2)[..., None] * w[:, None, None, :],
-                            (S, len(cols)) + v.shape).reshape(S * len(cols), v.size)
-            for v, w, c in terms], axis=1)
-        hit = val != 0.0
-        ends = [0] + np.cumsum(hit.sum(axis=1)).tolist()
-        built.append((cols, rhs, keep, ends, np.broadcast_to(var, val.shape)[hit].tolist(),
-                      val[hit].tolist()))
-    for s, suffix in enumerate(suffixes):
-        for cols, rhs, keep, ends, var, val in built:
-            row = s * len(cols)
-            for j, col in enumerate(cols):
-                if keep is None or keep[s, j]:
-                    a, b = ends[row + j], ends[row + j + 1]
-                    p.add_row(f"{prefix}{col}{suffix}", zip(var[a:b], val[a:b]), rel, rhs[j])
+                            (S, n) + f.shape).reshape(S, n, f.size)
+            for f, w, c in terms], axis=2)
+        # zero products of kept rows are left out here already to keep the arrays small
+        hit = (vals != 0.0) & keep[:, first:first + n, None]
+        s, j, k = np.nonzero(hit)
+        row.append(number[s, first + j])
+        var.append(np.concatenate([t[0].ravel() for t in terms])[k])
+        val.append(vals[hit])
+        first += n
+    names = [f"{prefix}{col}{suffix}" for suffix in suffixes for cols, _, _, _ in groups
+             for col in cols]
+    p.add_rows(compress(names, keep.ravel()), np.concatenate(row), np.concatenate(var),
+               np.concatenate(val), rel,
+               np.tile(np.concatenate([rhs for _, _, rhs, _ in groups]), S)[keep.ravel()])
 
 
 def resolve(term, at, weights, ncols: int):
@@ -78,6 +85,22 @@ def resolve(term, at, weights, ncols: int):
     if v.ndim == 1:
         return v[:, None], _ONE, c
     return v, own[0] if own else weights, c
+
+
+@dataclass
+class Infeasible:
+    kind: str
+    constraint: core.DwellTimeConstraint
+    rows: list[tuple[str, float]]      # named conditions with Farkas weight
+    margin: float
+
+    def __str__(self):
+        head = f"no {self.kind} certificate exists for {self.constraint}"
+        if self.rows:
+            conds = ", ".join(n for n, _ in self.rows[:8])
+            more = "" if len(self.rows) <= 8 else f" (+{len(self.rows) - 8} more)"
+            return f"{head}; conflicting conditions: {conds}{more}"
+        return head
 
 
 class DecayProgram:
@@ -102,10 +125,10 @@ class DecayProgram:
         """Rows at every sample of the flow plan; True when that is sound."""
         plan = pwl.flow_sample_plan(self.nodes, degree)
         samples = [(seg.segment, i, t) for seg in plan for i, t in enumerate(seg.taus)]
-        deriv = np.zeros((len(samples), self.nodes.size))
-        for s, (k, _, _) in enumerate(samples):
-            h = self.nodes[k + 1] - self.nodes[k]
-            deriv[s, k], deriv[s, k + 1] = -1.0 / h, 1.0 / h
+        s, k = np.arange(len(samples)), np.array([k for k, _, _ in samples])
+        deriv = np.zeros((s.size, self.nodes.size))
+        h = np.diff(self.nodes)[k]
+        deriv[s, k], deriv[s, k + 1] = -1.0 / h, 1.0 / h
         self._rows(prefix, [f"@s{k}.{i}" for k, i, _ in samples], [t for _, _, t in samples],
                    groups, [(state, np.eye(len(state)), deriv)])
         return all(seg.sound for seg in plan)
@@ -119,6 +142,17 @@ class DecayProgram:
         theta = (state, -np.eye(len(state)), pwl.hat_matrix(self.nodes, thetas))
         self._rows(prefix, [f"@{fmt(t)}" for t in thetas], [0.0] * len(thetas), groups,
                    [(self.eps, 1.0), theta])
+
+    def minimize_gamma(self, kind: str, constraint, feastol: float):
+        """Minimize gamma: the optimal point, or :class:`Infeasible` naming
+        the conflicting rows."""
+        self.p.set_objective({self.gamma: 1.0})
+        out = lp.solve(self.p, feastol=feastol)
+        if out.status == "infeasible":
+            return Infeasible(kind, constraint, out.rows_used, out.margin)
+        if out.status != "optimal":  # pragma: no cover - gamma is bounded below
+            raise lp.SolverError(f"unexpected solver status {out.status}")
+        return out.x
 
     def _rows(self, prefix, suffixes, at, groups, state_terms) -> None:
         weights = pwl.hat_matrix(self.nodes, at)

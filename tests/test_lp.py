@@ -117,6 +117,85 @@ def test_duplicate_coefficients_are_merged():
     assert out.x[0] == pytest.approx(2.0, abs=1e-9)
 
 
+def _stored_rows(p):
+    """Per row: name, relation, rhs, variables and coefficient bytes."""
+    ends = np.searchsorted(p._row, np.arange(p.num_rows + 1))
+    return [(p._names[i], str(p._rel[i]), float(p._rhs[i]), p._col[a:b].tolist(),
+             p._val[a:b].tobytes()) for i, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_add_rows_matches_one_add_row_per_row(seed):
+    rng = np.random.default_rng(seed)
+    n, m, k = 5, int(rng.integers(1, 7)), int(rng.integers(0, 40))
+    rows = rng.integers(0, m, size=k)  # rows interleaved, variables repeated
+    cols = rng.integers(0, n, size=k)
+    vals = rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 1 / 3, 1e-17], size=k)
+    pick = rng.integers(0, k, size=k // 3) if k else np.zeros(0, np.int64)
+    rows, cols = np.append(rows, rows[pick]), np.append(cols, cols[pick])
+    vals = np.append(vals, -vals[pick])  # cancelling pairs
+    names, rhs = [f"r{i}" for i in range(m)], rng.normal(size=m)
+    block, one_by_one = lp.LinearProgram(), lp.LinearProgram()
+    for p in (block, one_by_one):
+        for j in range(n):
+            p.add_var(f"x{j}")
+        p.add_row("before", {1: 2.0}, lp.EQ, 0.5)
+    block.add_rows(names, rows, cols, vals, lp.GE, rhs)
+    for i in range(m):
+        at = rows == i
+        one_by_one.add_row(names[i], zip(cols[at], vals[at]), lp.GE, rhs[i])
+    # reference: a dict per row summed in the given order, zeros left out
+    want = [("before", lp.EQ, 0.5, [1], np.array([2.0]).tobytes())]
+    for i in range(m):
+        acc = {}
+        for j, v in zip(cols[rows == i].tolist(), vals[rows == i].tolist()):
+            if v != 0.0:
+                acc[j] = acc.get(j, 0.0) + v
+        want.append((names[i], lp.GE, float(rhs[i]), sorted(acc),
+                     np.array([acc[j] for j in sorted(acc)]).tobytes()))
+    assert _stored_rows(block) == _stored_rows(one_by_one) == want
+    assert lp.dump(block) == lp.dump(one_by_one)
+
+
+def test_add_rows_rejects_bad_input():
+    p = lp.LinearProgram()
+    p.add_var("x")
+    p.add_var("y")
+    with pytest.raises(IndexError, match="row b: variable index 2"):
+        p.add_rows(["a", "b"], [0, 1], [1, 2], [1.0, 0.0], lp.LE, 0.0)
+    with pytest.raises(IndexError, match="variable index -1"):
+        p.add_rows(["a"], [0], [-1], [1.0], lp.LE, 0.0)
+    with pytest.raises(IndexError, match="row index 2"):
+        p.add_rows(["a", "b"], [0, 2], [0, 1], [1.0, 1.0], lp.LE, 0.0)
+    with pytest.raises(ValueError, match="unknown relation"):
+        p.add_rows(["a"], [0], [0], [1.0], "<", 0.0)
+    with pytest.raises(ValueError, match="one length"):
+        p.add_rows(["a"], [0, 0], [0], [1.0], lp.LE, 0.0)
+    with pytest.raises(ValueError):
+        p.add_rows(["a", "b"], [0], [0], [1.0], lp.LE, [0.0, 1.0, 2.0])
+    assert p.num_rows == 0 and p._val.size == 0
+
+
+def test_verify_flags_a_nan_point():
+    p = lp.LinearProgram()
+    x = p.add_var("x", lb=0.0)
+    p.add_row("r", {x: 1.0}, lp.LE, 1.0)
+    assert [v.row for v in lp.verify(p, np.array([np.nan]))] == ["r", "bound:x"]
+
+
+@pytest.mark.parametrize("coef, rhs, lb, why", [
+    (1e16, 1.0, 0.0, "a coefficient has magnitude 1e[+]16"),
+    (1.0, np.nan, 0.0, "a bound or right-hand side is NaN"),
+    (1.0, 1.0, np.inf, "a variable has lower bound [+]inf")])
+def test_refused_program_says_why(coef, rhs, lb, why):
+    # HiGHS refuses these programs before solving; the error names the cause
+    p = lp.LinearProgram()
+    x = p.add_var("x", lb=lb)
+    p.add_row("r", {x: coef}, lp.LE, rhs)
+    with pytest.raises(lp.SolverError, match="HiGHS refused the program: " + why):
+        lp.solve(p)
+
+
 # ---------------------------------------------------------------------------
 # randomized battery against scipy.optimize.linprog (oracle)
 

@@ -9,6 +9,7 @@ import pytest
 
 from systems import min_observer_plant, power_control, range_observer_plant, \
     stable_toy, uncertain_impulsive
+from test_lp import _stored_rows
 from posimp import certify, core, lp, observer, rows
 
 
@@ -61,9 +62,7 @@ def test_emit_matches_a_loop_over_the_terms(seed):
     rows.emit(got, "t:", [f"@{s}" for s in range(S)], groups, lp.GE)
     _loop_rows(want, "t:", [f"@{s}" for s in range(S)], groups, lp.GE)
     assert lp.dump(got) == lp.dump(want)
-    for (n1, i1, c1, r1, b1), (n2, i2, c2, r2, b2) in zip(got._rows, want._rows):
-        assert (n1, r1, b1) == (n2, r2, b2)
-        assert i1.tolist() == i2.tolist() and c1.tobytes() == c2.tobytes()
+    assert _stored_rows(got) == _stored_rows(want)
 
 
 def _timer_system():
@@ -74,8 +73,8 @@ def _timer_system():
 CERT = certify.CertifyOptions(n_nodes=7)
 SYN = observer.SynthesisOptions(n_nodes=5)
 
-# sha256 prefixes of lp.dump as the per-row emitters produced them; a
-# deliberate change of the rows changes these
+# sha256 prefixes of lp.dump as the per-row emitters and per-row storage
+# produced them; a deliberate change of the rows changes these
 DUMPS = {
     "certify_min_grouped": ("e5a8035253f72a52", lambda: certify.certify_min(
         uncertain_impulsive(), core.Minimum(2.0), core.ScalingStructure.grouped([[0, 1]]), CERT)),
@@ -91,6 +90,12 @@ DUMPS = {
         range_observer_plant(), core.Range(0.3, 0.5), observer.UNCONSTRAINED_PERIODIC, SYN)),
     "switched_synthesis": ("70536cabac692fb4", lambda: observer.synthesize_switched(
         power_control(), core.Minimum(0.2), observer.CONSTANT, SYN)),
+    # gain boxes: lo = 0 leaves X out of the lower rows, hi = inf drops the upper rows
+    "range_synthesis_box": ("1df8bb8654838bbb", lambda: observer.synthesize_range(
+        range_observer_plant(), core.Range(0.3, 0.5), observer.CONSTANT, SYN,
+        gain_box=(0.0, np.inf))),
+    "switched_synthesis_box": ("0913f57dbfbf6343", lambda: observer.synthesize_switched(
+        power_control(), core.Minimum(0.2), observer.CONSTANT, SYN, gain_box=(-1.0, 2.0))),
 }
 
 
