@@ -10,10 +10,10 @@ certify FILE [--free-scalings] [--out JSON]
     constraint; ``--free-scalings`` picks the richest scaling class the
     kind admits (analytic elimination for ``lft``, timer-dependent
     multipliers restricted to period-compatible sequences otherwise).
-certify FILE / synthesize FILE [--out JSON]
-    Write a machine-readable result document next to the human summary.
-    The synthesize result embeds the input document, so feeding it back
-    to ``simulate`` closes the loop with the stored gains - no
+synthesize FILE [--out JSON]
+    Interval-observer gains for a measured plant (kinds ``plant`` and
+    ``switched``).  The result embeds the input document, so feeding it
+    back to ``simulate`` closes the loop with the stored gains - no
     re-synthesis happens.
 simulate FILE --seq SPEC --out CSV [--horizon H] [--step S] [--input-seed N]
     Hybrid trajectory.  SPEC is either ``gen:SEED`` (a random admissible
@@ -28,6 +28,12 @@ sweep FILE --param Tbar --from A --to B --steps K --out CSV
     ``plant``/``switched``) on a grid of minimum dwell times, emitting
     ``Tbar,gamma`` rows with ``INF`` marking infeasible points.
 
+One function, ``_answer``, picks the library call for certify,
+synthesize and every sweep point from the command, the kind, the
+constraint family (range or minimum) and the free scalings.  The result
+documents of certify and synthesize differ only in the certificate or
+the gains they carry.
+
 System files are JSON documents::
 
     {
@@ -39,13 +45,14 @@ System files are JSON documents::
       "solver":   {"n_nodes": 21, "gain_box": [-10, 10]}
     }
 
-A matrix is a nested array of numbers; blocks that may depend on the
-timer (``A``, ``Gc``, ``Ec``) may instead be an array of coefficient
-matrices ``[M0, M1, ...]`` meaning ``M0 + tau M1 + ...``; every other
-block must be constant.  The blocks of each kind are those of the tables
-``BLOCKS``, ``MEASUREMENTS`` and ``WEIGHTS`` in :mod:`posimp.core`.  For
-switched systems the dynamics and measurement blocks are per-mode lists
-of such entries.  Schema
+Numbers must be finite; only the sides of ``solver.gain_box`` may be
+``Infinity`` or ``-Infinity``.  A matrix is a nested array of numbers;
+blocks that may depend on the timer (``A``, ``Gc``, ``Ec``) may instead
+be an array of coefficient matrices ``[M0, M1, ...]`` meaning
+``M0 + tau M1 + ...``; every other block must be constant.  The blocks
+of each kind are those of the tables ``BLOCKS``, ``MEASUREMENTS`` and
+``WEIGHTS`` in :mod:`posimp.core`.  For switched systems the dynamics
+and measurement blocks are per-mode lists of such entries.  Schema
 violations are reported with their path (``matrix A row 2: expected 2
 entries``) and exit with status 1; infeasibility exits with status 2.
 """
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -101,9 +109,13 @@ def _check_keys(d: dict, allowed: set, path: str) -> None:
                 f"{path}: unknown key {k!r} (allowed: {', '.join(sorted(allowed))})")
 
 
-def _number(v, where: str) -> float:
+def _number(v, where: str, infinite: bool = False) -> float:
+    """A finite JSON number, or with ``infinite`` also -Infinity or Infinity;
+    never NaN."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {v!r}")
+    if not (math.isfinite(v) or infinite and math.isinf(v)):
+        raise SchemaError(f"{where}: expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -315,6 +327,8 @@ def _build_constraint(dwell: dict, h_c: float | None):
             return core.PeriodicRange(tmin, tmax, q=q, alpha=alpha, h_c=h_c)
         tbar, q, alpha = need(["tbar", "q", "alpha"])
         return core.PeriodicMinimum(tbar, q=q, alpha=alpha, h_c=h_c)
+    except SchemaError:
+        raise
     except ValueError as e:
         raise SchemaError(f"dwell.params: {e}")
 
@@ -378,8 +392,9 @@ def _build_solver(block: dict | None):
             box = block["gain_box"]
             if not isinstance(box, list) or len(box) != 2:
                 raise SchemaError("solver.gain_box: expected [lo, hi]")
-            gain_box = (_number(box[0], "solver.gain_box lo"),
-                        _number(box[1], "solver.gain_box hi"))
+            # an infinite side leaves the gain entries unbounded on that side
+            gain_box = (_number(box[0], "solver.gain_box lo", infinite=True),
+                        _number(box[1], "solver.gain_box hi", infinite=True))
             if gain_box[0] > gain_box[1]:
                 raise SchemaError("solver.gain_box: lo exceeds hi")
     cert_fields = {k: v for k, v in fields.items()
@@ -593,165 +608,96 @@ def _cmd_check_positivity(args) -> int:
     return 0 if holds else 2
 
 
-def _require_constraint(loaded: LoadedSystem):
-    if loaded.constraint is None:
+def _answer(command: str, loaded: LoadedSystem, constraint, free: bool):
+    """The library call that answers ``command`` ("certify" or
+    "synthesize") for ``loaded`` under ``constraint``, chosen by the kind,
+    the constraint family (range or minimum) and, for certify, the free
+    scalings.  Returns the result and the scalings tag the result
+    document records."""
+    kind, system, scal = loaded.kind, loaded.system, loaded.scalings
+    if command == "synthesize" and kind not in ("plant", "switched"):
+        raise ValueError("synthesize needs a measured plant (kinds plant, "
+                         "switched); certify handles kinds lft and delay")
+    if constraint is None:
         raise SchemaError("dwell: required for this command")
-    return loaded.constraint
-
-
-def _constraint_doc(loaded: LoadedSystem):
-    return loaded.doc.get("dwell")
-
-
-def _cmd_certify(args) -> int:
-    loaded = load(args.file)
-    c = _require_constraint(loaded)
+    ranged = isinstance(constraint, (core.Range, core.PeriodicRange))
+    if command == "synthesize":
+        call = observer.synthesize_switched if kind == "switched" else \
+            observer.synthesize_range if ranged else observer.synthesize_min
+        return call(system, constraint, scal, loaded.synthesis_options,
+                    gain_box=loaded.gain_box), scal
     opts = loaded.certify_options
+    if kind == "lft":  # build admits only Range and Minimum for lft
+        if free or scal == _FREE:
+            call = certify.certify_range_free if ranged else certify.certify_min_free
+            return call(system, constraint, opts), _FREE
+        call = certify.certify_range if ranged else certify.certify_min
+        return (call(system, constraint, scal, opts),
+                (loaded.doc.get("scalings") or {}).get("structure", "unconstrained"))
+    if kind == "switched":
+        raise ValueError("certify supports kinds lft, delay and plant "
+                         "(switched designs are certified by synthesize itself)")
+    if kind == "plant":
+        if loaded.gains is None:
+            raise ValueError("certifying a plant needs observer gains "
+                             "(observer.L_c / observer.L_d)")
+        system = observer.error_system(system, loaded.gains)
+    scal = delay.UNCONSTRAINED_PERIODIC if free else scal
+    call = delay.certify_delay_range if ranged else delay.certify_delay_min
+    return call(system, constraint, scal, opts), scal
 
-    if loaded.kind == "lft":
-        free = args.free_scalings or loaded.scalings == _FREE
-        if isinstance(c, core.Range):
-            res = certify.certify_range_free(loaded.system, c, opts) if free \
-                else certify.certify_range(loaded.system, c, loaded.scalings, opts)
-        elif isinstance(c, core.Minimum):
-            res = certify.certify_min_free(loaded.system, c, opts) if free \
-                else certify.certify_min(loaded.system, c, loaded.scalings, opts)
-        else:
-            print("error: periodic dwell constraints apply to delayed systems",
-                  file=sys.stderr)
-            return 1
-        scal = "free" if free else loaded.doc.get("scalings", {}).get(
-            "structure", "unconstrained")
-    else:
-        if loaded.kind == "delay":
-            target = loaded.system
-        elif loaded.kind == "plant":
-            if loaded.gains is None:
-                print("error: certifying a plant needs observer gains "
-                      "(observer.L_c / observer.L_d)", file=sys.stderr)
-                return 1
-            target = observer.error_system(loaded.system, loaded.gains)
-        else:
-            print("error: certify supports kinds lft, delay and plant "
-                  "(switched designs are certified by synthesize itself)",
-                  file=sys.stderr)
-            return 1
-        scal = delay.UNCONSTRAINED_PERIODIC if args.free_scalings else loaded.scalings
-        try:
-            if isinstance(c, (core.Range, core.PeriodicRange)):
-                res = delay.certify_delay_range(target, c, scal, opts)
-            else:
-                res = delay.certify_delay_min(target, c, scal, opts)
-        except (TypeError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
 
-    out = _result_path(args.file, args.out)
+def _feasible_fields(res) -> dict:
+    """What a feasible result adds to the shared fields: the certificate,
+    or alpha and the gains (one set per mode for a switched plant)."""
     if isinstance(res, certify.Certificate):
-        payload = {
-            "command": "certify", "status": "feasible", "kind": res.kind,
-            "scalings": scal if isinstance(scal, str) else "structured",
-            "constraint": _constraint_doc(loaded),
-            "gamma": res.gamma, "eps": res.eps, "sound": res.sound,
-            "restriction": res.restriction,
-            "certificate": {
-                "nodes": res.zeta.nodes.tolist(),
-                "zeta": res.zeta.values.tolist(),
-                "mu_c": None if res.mu_c is None else res.mu_c.values.tolist(),
-                "mu_d": None if res.mu_d is None else np.asarray(res.mu_d).tolist(),
-            }}
-        _write_json(out, payload)
-        print(f"certificate found: {res.kind} for {c}")
-        print(f"gamma = {res.gamma:.6f}   eps = {res.eps:.3g}   "
-              + ("(rows sound)" if res.sound else "(rows sampled)"))
-        if res.restriction:
-            print(f"restriction: {res.restriction}")
-        print(f"result written to {out}")
-        return 0
-    payload = {
-        "command": "certify", "status": "infeasible", "kind": res.kind,
-        "scalings": scal if isinstance(scal, str) else "structured",
-        "constraint": _constraint_doc(loaded),
-        "message": str(res),
-        "conflicts": [[name, w] for name, w in res.rows],
-    }
-    _write_json(out, payload)
-    print(str(res))
-    print(f"result written to {out}")
-    return 2
+        return {"certificate": {
+            "nodes": res.zeta.nodes.tolist(),
+            "zeta": res.zeta.values.tolist(),
+            "mu_c": None if res.mu_c is None else res.mu_c.values.tolist(),
+            "mu_d": None if res.mu_d is None else np.asarray(res.mu_d).tolist()}}
+    if isinstance(res, list):
+        return {"alpha": res[0].alpha, "gains": {"modes": [_gains_payload(g) for g in res]}}
+    return {"alpha": res.alpha, "gains": _gains_payload(res)}
 
 
-def _cmd_synthesize(args) -> int:
+def _cmd_answer(args) -> int:
+    """certify and synthesize: one result document and one summary."""
     loaded = load(args.file)
-    if loaded.kind not in ("plant", "switched"):
-        print("error: synthesize needs a measured plant (kinds plant, "
-              "switched); certify handles kinds lft and delay",
-              file=sys.stderr)
-        return 1
-    c = _require_constraint(loaded)
-    opts = loaded.synthesis_options
-    scal = loaded.scalings
-
-    try:
-        if loaded.kind == "plant":
-            if isinstance(c, (core.Range, core.PeriodicRange)):
-                res = observer.synthesize_range(loaded.system, c, scal, opts,
-                                                gain_box=loaded.gain_box)
-            else:
-                res = observer.synthesize_min(loaded.system, c, scal, opts,
-                                              gain_box=loaded.gain_box)
-        else:
-            res = observer.synthesize_switched(loaded.system, c, scal, opts,
-                                               gain_box=loaded.gain_box)
-    except (TypeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    out = _result_path(args.file, args.out)
-    doc = {k: v for k, v in loaded.doc.items() if k != "result"}
-    if isinstance(res, observer.Infeasible):
-        doc["result"] = {
-            "command": "synthesize", "status": "infeasible", "kind": res.kind,
-            "scalings": scal, "constraint": _constraint_doc(loaded),
-            "message": str(res),
-            "conflicts": [[name, w] for name, w in res.rows],
-        }
-        _write_json(out, doc)
-        print(str(res))
-        print(f"result written to {out}")
-        return 2
-
+    c = loaded.constraint
+    res, scal = _answer(args.command, loaded, c, getattr(args, "free_scalings", False))
     first = res[0] if isinstance(res, list) else res
-    result = {
-        "command": "synthesize", "status": "feasible", "kind": first.kind,
-        "scalings": scal, "constraint": _constraint_doc(loaded),
-        "gamma": first.gamma, "eps": first.eps, "alpha": first.alpha,
-        "sound": first.sound, "restriction": first.restriction,
-    }
-    if isinstance(res, list):
-        result["gains"] = {"modes": [_gains_payload(g) for g in res]}
+    infeasible = isinstance(res, certify.Infeasible)
+    result = {"command": args.command, "status": "infeasible" if infeasible else "feasible",
+              "kind": first.kind, "scalings": scal, "constraint": loaded.doc.get("dwell")}
+    if infeasible:
+        result.update(message=str(res), conflicts=[[name, w] for name, w in res.rows])
     else:
-        result["gains"] = _gains_payload(res)
-    doc["result"] = result
-    _write_json(out, doc)
+        result.update(gamma=first.gamma, eps=first.eps, sound=first.sound,
+                      restriction=first.restriction, **_feasible_fields(res))
+    out = _result_path(args.file, args.out)
+    # a synthesize result embeds its input document, so simulate can reload the gains
+    _write_json(out, result if args.command == "certify" else
+                {**{k: v for k, v in loaded.doc.items() if k != "result"}, "result": result})
 
-    print(f"gains synthesized: {first.kind} for {c}")
-    print(f"gamma = {first.gamma:.6f}   eps = {first.eps:.3g}   "
-          + ("(rows sound)" if first.sound else "(rows sampled)"))
-    if isinstance(res, list):
-        for g in res:
-            print(f"mode {g.mode}: L(0) =")
-            print(_fmt_matrix(g.L_c_at(0.0)))
+    if infeasible:
+        print(str(res))
     else:
-        print("L_c(0) =")
-        print(_fmt_matrix(res.L_c_at(0.0)))
-        if res.L_d is not None and res.L_d.size:
-            print("L_d =")
-            print(_fmt_matrix(res.L_d))
-    if first.restriction:
-        print(f"restriction: {first.restriction}")
+        print(("certificate found" if args.command == "certify" else "gains synthesized")
+              + f": {first.kind} for {c}")
+        print(f"gamma = {first.gamma:.6f}   eps = {first.eps:.3g}   "
+              + ("(rows sound)" if first.sound else "(rows sampled)"))
+        if isinstance(res, list):
+            for g in res:
+                print(f"mode {g.mode}: L(0) =\n{_fmt_matrix(g.L_c_at(0.0))}")
+        elif args.command == "synthesize":
+            print(f"L_c(0) =\n{_fmt_matrix(res.L_c_at(0.0))}")
+            if res.L_d is not None and res.L_d.size:
+                print(f"L_d =\n{_fmt_matrix(res.L_d)}")
+        if first.restriction:
+            print(f"restriction: {first.restriction}")
     print(f"result written to {out}")
-    return 0
+    return 2 if infeasible else 0
 
 
 def _parse_seq(spec: str, loaded: LoadedSystem, horizon: float):
@@ -821,10 +767,9 @@ def _cmd_simulate(args) -> int:
 
     if loaded.kind in ("plant", "switched"):
         if loaded.gains is None:
-            print("error: simulating a plant needs gains - run synthesize "
-                  "and simulate its result file, or put constant L_c/L_d "
-                  "(or L) in the observer block", file=sys.stderr)
-            return 1
+            raise ValueError("simulating a plant needs gains - run synthesize "
+                             "and simulate its result file, or put constant L_c/L_d "
+                             "(or L) in the observer block")
         spread = loaded.spread if loaded.spread is not None else np.full(n, 0.5)
         lo_hist, hi_hist = center - spread, center + spread
         cb = None if loaded.w_c_bounds is None else \
@@ -870,47 +815,19 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.param != "Tbar":
-        print(f"error: unsupported sweep parameter {args.param!r} "
-              "(only Tbar)", file=sys.stderr)
-        return 1
+        raise ValueError(f"unsupported sweep parameter {args.param!r} (only Tbar)")
     if args.steps < 1:
-        print("error: --steps must be at least 1", file=sys.stderr)
-        return 1
+        raise ValueError("--steps must be at least 1")
     loaded = load(args.file)
-    values = np.linspace(args.lo, args.hi, args.steps)
-
-    def gamma_at(tbar: float):
-        c = core.Minimum(float(tbar))
-        if loaded.kind == "lft":
-            if args.free_scalings or loaded.scalings == _FREE:
-                res = certify.certify_min_free(loaded.system, c,
-                                               loaded.certify_options)
-            else:
-                res = certify.certify_min(loaded.system, c, loaded.scalings,
-                                          loaded.certify_options)
-        elif loaded.kind == "delay":
-            scal = delay.UNCONSTRAINED_PERIODIC if args.free_scalings \
-                else loaded.scalings
-            res = delay.certify_delay_min(loaded.system, c, scal,
-                                          loaded.certify_options)
-        elif loaded.kind == "plant":
-            res = observer.synthesize_min(loaded.system, c, loaded.scalings,
-                                          loaded.synthesis_options,
-                                          gain_box=loaded.gain_box)
-        else:
-            res = observer.synthesize_switched(loaded.system, c,
-                                               loaded.scalings,
-                                               loaded.synthesis_options,
-                                               gain_box=loaded.gain_box)
-        if isinstance(res, (certify.Infeasible, observer.Infeasible)):
-            return None
-        return (res[0] if isinstance(res, list) else res).gamma
+    command = "synthesize" if loaded.kind in ("plant", "switched") else "certify"
 
     rows = []
     last_infeasible = None
     first_feasible = None
-    for t in values:
-        g = gamma_at(t)
+    for t in np.linspace(args.lo, args.hi, args.steps):
+        res, _ = _answer(command, loaded, core.Minimum(float(t)), args.free_scalings)
+        g = None if isinstance(res, certify.Infeasible) else \
+            (res[0] if isinstance(res, list) else res).gamma
         rows.append((t, g))
         if g is None:
             last_infeasible = t if first_feasible is None else last_infeasible
@@ -955,13 +872,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="use the richest scaling class the kind admits")
     ce.add_argument("--out", help="result JSON path "
                                   "(default: FILE with .result.json)")
-    ce.set_defaults(fn=_cmd_certify)
+    ce.set_defaults(fn=_cmd_answer)
 
     sy = sub.add_parser("synthesize", help="interval-observer gains")
     sy.add_argument("file")
     sy.add_argument("--out", help="result JSON path "
                                   "(default: FILE with .result.json)")
-    sy.set_defaults(fn=_cmd_synthesize)
+    sy.set_defaults(fn=_cmd_answer)
 
     si = sub.add_parser("simulate", help="hybrid trajectory to CSV")
     si.add_argument("file")
@@ -991,9 +908,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (sim.SimulationError, core.WellPosednessError, lp.SolverError,
             OSError, ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -80,11 +80,6 @@ class TimerMatrixFunction:
             out[k] = out[k] + c
         return TimerMatrixFunction(out)
 
-    def rmul_const(self, M) -> "TimerMatrixFunction":
-        """M @ self(tau), with M constant."""
-        M = np.asarray(M, dtype=float)
-        return TimerMatrixFunction([M @ c for c in self.coeffs])
-
     def mul_const(self, M) -> "TimerMatrixFunction":
         """self(tau) @ M, with M constant."""
         M = np.asarray(M, dtype=float)

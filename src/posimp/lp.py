@@ -74,6 +74,9 @@ class LinearProgram:
     def add_var(self, name: str, lb: float | None = None, ub: float | None = None) -> int:
         l = -np.inf if lb is None else float(lb)
         u = np.inf if ub is None else float(ub)
+        if not (l < np.inf and u > -np.inf):  # false for a NaN bound too
+            raise ValueError(f"variable {name}: bounds must not be NaN, a lower bound +inf "
+                             f"or an upper bound -inf, got [{l}, {u}]")
         if l > u:
             raise ValueError(f"variable {name}: lower bound {l} exceeds upper bound {u}")
         self._var_names.append(name)
@@ -124,6 +127,9 @@ class LinearProgram:
         return self.num_rows - 1
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
+        for j, c in coeffs.items():
+            if not np.isfinite(c):
+                raise ValueError(f"variable {self._var_names[j]}: objective cost {c} is not finite")
         self._obj = {int(j): float(c) for j, c in coeffs.items() if c != 0.0}
 
     # ------------------------------------------------------------------

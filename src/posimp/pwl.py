@@ -86,23 +86,6 @@ class PwlFunction:
 
     __call__ = eval
 
-    def deriv_on_segment(self, k: int) -> float:
-        if not 0 <= k < self.nodes.size - 1:
-            raise IndexError("segment index out of range")
-        return float((self.values[k + 1] - self.values[k]) / (self.nodes[k + 1] - self.nodes[k]))
-
-    def refine(self) -> "PwlFunction":
-        """Insert every segment midpoint; represents the same function."""
-        mid_n = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        mid_v = 0.5 * (self.values[:-1] + self.values[1:])
-        nodes = np.empty(self.nodes.size + mid_n.size)
-        vals = np.empty_like(nodes)
-        nodes[0::2] = self.nodes
-        nodes[1::2] = mid_n
-        vals[0::2] = self.values
-        vals[1::2] = mid_v
-        return PwlFunction(nodes, vals)
-
 
 class PwlVector:
     """Vector of piecewise-linear entries on a shared grid.  values: (n, N)."""
@@ -117,9 +100,6 @@ class PwlVector:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def entry(self, i: int) -> PwlFunction:
-        return PwlFunction(self.nodes, self.values[i])
-
     def eval(self, tau: float) -> np.ndarray:
         out = np.zeros(self.dim)
         for i, w in hat_weights(self.nodes, tau):
@@ -127,10 +107,6 @@ class PwlVector:
         return out
 
     __call__ = eval
-
-    def refine(self) -> "PwlVector":
-        fs = [self.entry(i).refine() for i in range(self.dim)]
-        return PwlVector(fs[0].nodes, np.vstack([f.values for f in fs]))
 
 
 class PwlMatrix:

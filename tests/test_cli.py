@@ -2,13 +2,14 @@
 certify / synthesize / simulate commands against the library calls they
 stand for."""
 
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
 
-from posimp import certify, cli, core, observer, sim
+from posimp import certify, cli, core, delay, observer, sim
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
@@ -185,3 +186,179 @@ def test_certify_command_refuses_reloaded_exact_gains(synthesized, capsys):
     out, _ = synthesized
     assert cli.main(["certify", str(out), "--out", str(out.with_suffix(".cert.json"))]) == 1
     assert "exact observer gain" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# inline documents; schema errors of dwell blocks and non-finite numbers
+
+STABLE_TOY = {"kind": "lft", "system": {"A": [[-1.0, 0.5], [0.2, -2.0]], "Ec": [[1.0], [0.5]],
+                                        "Cc": [[1.0, 1.0]], "J": [[0.5, 0.0], [0.1, 0.4]]}}
+DELAY_SYSTEM = {"A": [[-1.0, 0.2], [0.5, -2.0]], "Gc": [[0.1, 0.0], [0.0, 0.1]],
+                "Ec": [[0.3], [0.2]], "Cc": [[1.0, 1.0]], "J": [[0.6, 0.1], [0.0, 0.5]],
+                "Gd": [[0.05, 0.0], [0.0, 0.05]], "Ed": [[0.1], [0.1]], "Cd": [[1.0, 0.0]],
+                "h_c": 1.0, "h_d": 1}
+PLANT = {"kind": "plant", "scalings": {"structure": "constant"},
+         "system": {"A": [[-1.0, 0.0], [1.0, -2.0]], "Gc": [[0.1, 0.0], [0.0, 0.2]],
+                    "Ec": [[0.1], [0.1]], "J": [[0.8, 0.1], [0.1, 0.7]],
+                    "Gd": [[0.1, 0.0], [0.0, 0.1]], "Ed": [[0.2], [0.2]], "h_c": 1.0, "h_d": 1},
+         "observer": {"C_yc": [[0.0, 1.0]], "F_yc": [[0.03]], "C_yd": [[0.0, 1.0]],
+                      "F_yd": [[0.03]], "L_c": [[0.0], [0.5]], "L_d": [[0.1], [0.1]]}}
+DWELLS = {
+    "range": {"type": "range", "params": {"tmin": 0.2, "tmax": 0.6}},
+    "minimum": {"type": "minimum", "params": {"tbar": 0.4}},
+    "periodic-range": {"type": "periodic-range",
+                       "params": {"tmin": 0.2, "tmax": 0.6, "q": 2, "alpha": 1}},
+    "periodic-minimum": {"type": "periodic-minimum",
+                         "params": {"tbar": 0.3, "q": 2, "alpha": 1}},
+}
+
+
+@pytest.mark.parametrize("dwell, message", [
+    ({"type": "minimum", "params": {}}, "dwell.params.tbar: required for type 'minimum'"),
+    (DWELLS["periodic-minimum"],
+     "dwell.type: periodic constraints tie the impulse pattern to the delay period and need "
+     "a delayed system (kinds delay, plant, switched)"),
+    ({"type": "range", "params": {"tmin": 2.0, "tmax": 1.0}},
+     "dwell.params: need 0 < tmin <= tmax"),
+])
+def test_dwell_errors_carry_their_path_once(dwell, message):
+    with pytest.raises(cli.SchemaError) as err:
+        cli.build({**STABLE_TOY, "dwell": dwell})
+    assert str(err.value) == message
+
+
+def _delay_doc(section: str, key: str, value) -> dict:
+    doc = copy.deepcopy({"kind": "delay", "system": DELAY_SYSTEM, "dwell": DWELLS["range"],
+                         "solver": {}})
+    doc[section][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("system", "A", [[-1.0, np.nan], [0.5, -2.0]],
+     "matrix A row 1, entry 2: expected a finite number, got nan"),
+    ("system", "Gc", [[[0.1, 0.0], [0.0, 0.1]], [[0.0, 0.0], [np.inf, 0.0]]],
+     "matrix Gc coefficient 2 row 2, entry 1: expected a finite number, got inf"),
+    ("system", "phi0", [1.0, -np.inf], "system.phi0 entry 2: expected a finite number, got -inf"),
+    ("system", "h_c", np.inf, "system.h_c: expected a finite number, got inf"),
+    ("system", "w_c_bounds", [-np.inf, 1.0],
+     "system.w_c_bounds lower bound: expected a finite number, got -inf"),
+    ("dwell", "params", {"tmin": 0.2, "tmax": np.nan},
+     "dwell.params.tmax: expected a finite number, got nan"),
+    ("solver", "margin", np.inf, "solver.margin: expected a finite number, got inf"),
+    ("solver", "gain_box", [np.nan, 1.0], "solver.gain_box lo: expected a finite number, got nan"),
+])
+def test_non_finite_numbers_are_schema_errors(section, key, value, message):
+    with pytest.raises(cli.SchemaError) as err:
+        cli.build(_delay_doc(section, key, value))
+    assert str(err.value) == message
+
+
+def test_non_finite_matrix_entry_reaches_the_command_line(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    with open(_fixture("stable_toy")) as f:
+        doc = json.load(f)
+    doc["system"]["A"][0][0] = np.nan
+    path.write_text(json.dumps(doc))  # written as the JSON extension NaN
+    assert cli.main(["check-positivity", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: matrix A row 1, entry 1: expected a finite number, got nan\n"
+
+
+@pytest.mark.parametrize("box", [[0.0, np.inf], [-np.inf, 2.0]])
+def test_one_sided_gain_box_loads(box):
+    assert cli.build(_delay_doc("solver", "gain_box", box)).gain_box == tuple(box)
+
+
+def test_null_scalings_block_certifies_with_the_default_structure(tmp_path):
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    path.write_text(json.dumps({**STABLE_TOY, "scalings": None,
+                                "dwell": {"type": "minimum", "params": {"tbar": 0.5}}}))
+    assert cli.main(["certify", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scalings"] == "unconstrained"
+
+
+# ---------------------------------------------------------------------------
+# every command against the library call that answers it
+
+INLINE = {f"{kind} {dwell}": {**base, "dwell": DWELLS[dwell]}
+          for kind, base in (("delay", {"kind": "delay", "system": DELAY_SYSTEM}),
+                             ("plant", PLANT))
+          for dwell in DWELLS}
+
+# the library call behind certify, certify --free-scalings, synthesize and
+# every sweep point; None where the command refuses the kind
+COMMANDS = ("certify", "certify-free", "synthesize", "sweep")
+ANSWERS = {
+    "stable_toy": ("certify_range", "certify_range_free", None, "certify_min"),
+    "uncertain_impulsive": ("certify_min", "certify_min_free", None, "certify_min"),
+    "range_observer_plant": (None, None, "synthesize_range", "synthesize_min"),
+    "min_observer_plant": ("certify_delay_min",) * 2 + ("synthesize_min",) * 2,
+    "switched_toy": (None, None, "synthesize_switched", "synthesize_switched"),
+    "power_control": (None, None, "synthesize_switched", "synthesize_switched"),
+    "delay range": ("certify_delay_range",) * 2 + (None, "certify_delay_min"),
+    "delay minimum": ("certify_delay_min",) * 2 + (None, "certify_delay_min"),
+    "delay periodic-range": ("certify_delay_range",) * 2 + (None, "certify_delay_min"),
+    "delay periodic-minimum": ("certify_delay_min",) * 2 + (None, "certify_delay_min"),
+    "plant range": ("certify_delay_range",) * 2 + ("synthesize_range", "synthesize_min"),
+    "plant minimum": ("certify_delay_min",) * 2 + ("synthesize_min",) * 2,
+    "plant periodic-range": ("certify_delay_range",) * 2 + ("synthesize_range", "synthesize_min"),
+    "plant periodic-minimum": ("certify_delay_min",) * 2 + ("synthesize_min",) * 2,
+}
+SWEEP = (0.3, 1.2, 3)
+
+
+def _library(call: str, loaded, constraint, free: bool):
+    """The named library call on a loaded document, and the scalings tag
+    its result document records."""
+    if call.startswith("certify_delay"):
+        target = loaded.system if loaded.kind == "delay" else \
+            observer.error_system(loaded.system, loaded.gains)
+        scal = delay.UNCONSTRAINED_PERIODIC if free else loaded.scalings
+        return getattr(delay, call)(target, constraint, scal, loaded.certify_options), scal
+    if call.endswith("_free"):
+        return getattr(certify, call)(loaded.system, constraint, loaded.certify_options), "free"
+    if call.startswith("certify"):  # the lft fixtures declare no scalings
+        return getattr(certify, call)(loaded.system, constraint, loaded.scalings,
+                                      loaded.certify_options), "unconstrained"
+    return getattr(observer, call)(loaded.system, constraint, loaded.scalings,
+                                   loaded.synthesis_options, gain_box=loaded.gain_box), \
+        loaded.scalings
+
+
+@pytest.mark.parametrize("name, command", [(n, c) for n in ANSWERS for c in COMMANDS])
+def test_command_answers_like_the_library(name, command, tmp_path, capsys):
+    if name in INLINE:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(INLINE[name]))
+    else:
+        path = _fixture(name)
+    call = ANSWERS[name][COMMANDS.index(command)]
+    out = tmp_path / "out"
+    argv = {"certify": ["certify", str(path)],
+            "certify-free": ["certify", str(path), "--free-scalings"],
+            "synthesize": ["synthesize", str(path)],
+            "sweep": ["sweep", str(path), "--param", "Tbar", "--from", str(SWEEP[0]),
+                      "--to", str(SWEEP[1]), "--steps", str(SWEEP[2])]}[command]
+    code = cli.main(argv + ["--out", str(out)])
+    if call is None:
+        assert code == 1 and capsys.readouterr().err.startswith("error: ")
+        return
+    loaded = cli.load(str(path))
+    if command == "sweep":
+        assert code == 0
+        expected = []
+        for t in np.linspace(*SWEEP):
+            res, _ = _library(call, loaded, core.Minimum(float(t)), False)
+            expected.append("INF" if isinstance(res, certify.Infeasible) else
+                            f"{(res[0] if isinstance(res, list) else res).gamma:.12g}")
+        assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == expected
+        return
+    res, scal = _library(call, loaded, loaded.constraint, command == "certify-free")
+    doc = json.loads(out.read_text())
+    result = doc["result"] if command == "synthesize" else doc
+    first = res[0] if isinstance(res, list) else res
+    status = "infeasible" if isinstance(res, certify.Infeasible) else "feasible"
+    assert code == (2 if status == "infeasible" else 0)
+    assert (result["status"], result["kind"], result["scalings"]) == (status, first.kind, scal)
+    assert result.get("gamma") == getattr(first, "gamma", None)

@@ -185,8 +185,7 @@ def test_verify_flags_a_nan_point():
 
 @pytest.mark.parametrize("coef, rhs, lb, why", [
     (1e16, 1.0, 0.0, "a coefficient has magnitude 1e[+]16"),
-    (1.0, np.nan, 0.0, "a bound or right-hand side is NaN"),
-    (1.0, 1.0, np.inf, "a variable has lower bound [+]inf")])
+    (1.0, np.nan, 0.0, "a bound or right-hand side is NaN")])
 def test_refused_program_says_why(coef, rhs, lb, why):
     # HiGHS refuses these programs before solving; the error names the cause
     p = lp.LinearProgram()
@@ -194,6 +193,26 @@ def test_refused_program_says_why(coef, rhs, lb, why):
     p.add_row("r", {x: coef}, lp.LE, rhs)
     with pytest.raises(lp.SolverError, match="HiGHS refused the program: " + why):
         lp.solve(p)
+
+
+@pytest.mark.parametrize("lb, ub", [(np.inf, None), (np.inf, np.inf), (None, -np.inf),
+                                    (-np.inf, -np.inf), (np.nan, None), (0.0, np.nan)])
+def test_add_var_refuses_a_bound_no_value_meets(lb, ub):
+    p = lp.LinearProgram()
+    with pytest.raises(ValueError, match=r"^variable x\[2\]: bounds must not be NaN"):
+        p.add_var("x[2]", lb=lb, ub=ub)
+    assert p.num_vars == 0
+
+
+@pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf])
+def test_set_objective_refuses_a_cost_that_is_not_finite(cost):
+    # HiGHS would call these programs optimal
+    p = lp.LinearProgram()
+    x = p.add_var("x", lb=0.0)
+    y = p.add_var("y", lb=0.0)
+    p.add_row("r", {x: 1.0, y: 1.0}, lp.LE, 1.0)
+    with pytest.raises(ValueError, match=r"^variable y: objective cost -?(nan|inf) is not finite"):
+        p.set_objective({x: 1.0, y: cost})
 
 
 # ---------------------------------------------------------------------------

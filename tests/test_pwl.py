@@ -24,14 +24,6 @@ def test_eval_interpolates_and_clamps():
     assert f.eval(-1.0) == 1.0
 
 
-def test_derivative_matches_slopes():
-    f = pwl.PwlFunction([0.0, 1.0, 3.0], [0.0, 2.0, 1.0])
-    assert f.deriv_on_segment(0) == pytest.approx(2.0)
-    assert f.deriv_on_segment(1) == pytest.approx(-0.5)
-    with pytest.raises(IndexError):
-        f.deriv_on_segment(2)
-
-
 def test_hat_weights_partition_of_unity():
     nodes = pwl.uniform_nodes(1.0, 4)
     for tau in [0.0, 0.1, 1.0 / 3.0, 0.5, 0.99, 1.0]:
@@ -45,12 +37,9 @@ def test_hat_weights_partition_of_unity():
     vals=st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=9),
     t=st.floats(-1, 12, allow_nan=False),
 )
-def test_refine_is_an_embedding(vals, t):
+def test_eval_stays_within_the_node_values(vals, t):
     nodes = pwl.uniform_nodes(3.0, len(vals))
     f = pwl.PwlFunction(nodes, vals)
-    g = f.refine()
-    assert g.nodes.size == 2 * f.nodes.size - 1
-    assert g.eval(t) == pytest.approx(f.eval(t), rel=1e-12, abs=1e-12)
     lo, hi = min(vals), max(vals)
     assert lo - 1e-12 <= f.eval(t) <= hi + 1e-12
 
@@ -59,8 +48,6 @@ def test_vector_and_matrix_wrappers():
     nodes = pwl.uniform_nodes(1.0, 3)
     v = pwl.PwlVector(nodes, [[0.0, 1.0, 2.0], [4.0, 2.0, 0.0]])
     np.testing.assert_allclose(v.eval(0.5), [1.0, 2.0])
-    np.testing.assert_allclose(v.refine().eval(0.25), v.eval(0.25))
-    assert v.entry(1).eval(0.75) == pytest.approx(1.0)
 
     m = pwl.PwlMatrix(nodes, np.arange(12, dtype=float).reshape(2, 2, 3))
     assert m.shape == (2, 2)
