@@ -114,9 +114,14 @@ def _number(v, where: str, infinite: bool = False) -> float:
     never NaN."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {v!r}")
-    if not (math.isfinite(v) or infinite and math.isinf(v)):
+    try:
+        x = float(v)
+    except OverflowError:
+        raise SchemaError(f"{where}: expected a finite number, got an integer "
+                          "too large for a float") from None
+    if not (math.isfinite(x) or infinite and math.isinf(x)):
         raise SchemaError(f"{where}: expected a finite number, got {v!r}")
-    return float(v)
+    return x
 
 
 def _integer(v, where: str) -> int:
@@ -473,11 +478,15 @@ def build(doc: dict) -> LoadedSystem:
 
     scalings = _build_scalings(doc.get("scalings"), kind)
     if isinstance(scalings, core.ScalingStructure):
-        for chan, size in (("continuous", built.ncD), ("discrete", built.ndD)):
+        # groups_d defaults to groups_c; with no discrete channels only a
+        # partition the document gives is checked
+        given_d = (doc.get("scalings") or {}).get("groups_d") is not None
+        for chan, size, field in (("continuous", built.ncD, "groups_c"),
+                                  ("discrete", built.ndD, "groups_d" if given_d else "groups_c")):
             spec = getattr(scalings, chan)
-            if isinstance(spec, tuple) and spec[0] == "grouped":
-                _wrap_build(lambda: core.validate_partition(spec[1], size),
-                            f"scalings.groups_{chan[0]}")
+            if isinstance(spec, tuple) and spec[0] == "grouped" and (
+                    chan == "continuous" or given_d or size):
+                _wrap_build(lambda: core.validate_partition(spec[1], size), f"scalings.{field}")
 
     copts, sopts, gain_box = _build_solver(doc.get("solver"))
 

@@ -1,15 +1,25 @@
 """Hybrid simulation of impulsive and switched positive systems with delays.
 
 Trajectories are integrated with fixed-step RK4 between impulse times
-(method of steps): the flow-delayed state x(t - h_c) is read from a
-history ring buffer by linear interpolation, the jump-count-delayed state
-x(t_{k - h_d}) from a buffer of pre-jump samples.  Integration always
-lands exactly on each impulse time; the jump map is applied to the left
-limit x(t_k) and the trace continues from the post-jump value.  A
-switched system is a per-mode list run along the modes of the dwell
-sequence.  Every run goes through one engine: an interval-observer run is
-a plain run of one 3n-state system on (x, x^-, x^+) that lifts the plant
-and its closed error system from :func:`posimp.observer.error_system`.
+(method of steps).  The step h divides h_c and the timer restarts at
+every jump, so one RK4 step of the linear delayed flow is a linear map
+of the state, the three delayed reads x(t - h_c), x(t + h/2 - h_c),
+x(t + h - h_c) and the three input samples w(t), w(t + h/2), w(t + h).
+A per-run table holds that map for every mode (and every step index of
+a dwell interval when the flow depends on the timer); only the last,
+partial step of an interval gets a map of its own.  An interval is
+walked in chunks of at most h_c/h - 1 steps, so every delayed read of a
+chunk lies at or before its start: one sorted search over the history
+(the samples plus the post-jump rows) reads them all by linear
+interpolation, and the inputs are called once per distinct stage time.
+The jump-count-delayed state x(t_{k - h_d}) comes from a buffer of
+pre-jump samples.  Integration always lands exactly on each impulse
+time; the jump map is applied to the left limit x(t_k) and the trace
+continues from the post-jump value.  A switched system is a per-mode
+list run along the modes of the dwell sequence.  Every run goes through
+one engine: an interval-observer run is a plain run of one 3n-state
+system on (x, x^-, x^+) that lifts the plant and its closed error system
+from :func:`posimp.observer.error_system`.
 
 The module also generates admissible dwell-time sequences for every
 constraint kind, checks interval-observer enclosures sample by sample,
@@ -17,7 +27,11 @@ and estimates hybrid L1/l1 gains empirically from random bounded inputs
 (a lower bound on the true gain, hence on any certified gamma).
 
 Conventions documented here because the dynamics leave them open:
-  * the delayed read at exactly an impulse time returns the left limit;
+  * the delayed read at exactly an impulse time returns the left limit,
+    and a read past the newest sample (by rounding, when h = h_c)
+    returns that sample;
+  * w_c is called once per distinct stage time: w(t + h) of a step also
+    serves the output at t + h and the first stage of the next step;
   * the discrete disturbance w_d is evaluated at the jump index k
     (1-based, so the jump at t_1 consumes w_d(1));
   * x(t_{k-h_d}) is the pre-jump state at t_{k-h_d}, and phi0(0) while
@@ -29,9 +43,7 @@ Conventions documented here because the dynamics leave them open:
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-import functools
 import itertools
 import math
 import warnings
@@ -262,36 +274,6 @@ def _adjust_step(step: float, h_c: float, min_dwell: float) -> float:
     return h_c / int(math.ceil(h_c / cap - 1e-12))
 
 
-class _History:
-    """Ring buffer of (t, x) samples with linear interpolation.  Reads at
-    a duplicated sample time return the earlier entry (the left limit)."""
-
-    def __init__(self, phi):
-        self.phi = phi
-        self.ts: list[float] = []
-        self.xs: list[np.ndarray] = []
-
-    def append(self, t, x):
-        self.ts.append(t)
-        self.xs.append(x)
-
-    def prune(self, before):
-        cut = bisect.bisect_left(self.ts, before) - 1
-        if cut > 0:
-            del self.ts[:cut]
-            del self.xs[:cut]
-
-    def read(self, s):
-        if s <= 0.0:
-            return self.phi(s)
-        i = bisect.bisect_left(self.ts, s)
-        if i < len(self.ts) and self.ts[i] == s:
-            return self.xs[i]
-        t0, t1 = self.ts[i - 1], self.ts[i]
-        w = (s - t0) / (t1 - t0)
-        return (1.0 - w) * self.xs[i - 1] + w * self.xs[i]
-
-
 def _input_fn(fn, width, name):
     if fn is None:
         zero = np.zeros(width)
@@ -375,71 +357,57 @@ def _simulate(sys, seq, w_c, w_d, horizon, step, phi0) -> SimulationTrace:
     w_c = _input_fn(w_c, pc, "w_c")
     w_d = _input_fn(w_d, pd, "w_d")
     phi = _as_phi(phi0 if phi0 is not None else sys.phi0, n)
-    mats = [_flow_mats(m) for m in sysv]
-
-    def flow(mode, t, tau, x, xd):
-        A, Gc, Ec = mats[mode]
-        dx = A(tau) @ x + Gc(tau) @ xd
-        if pc:
-            dx = dx + Ec(tau) @ w_c(t)
-        return dx
-
-    def output(m, t, x, xd):
-        z = m.Cc @ x + m.Hc @ xd
-        if pc:
-            z = z + m.Fc @ w_c(t)
-        return z
-
-    # method of steps: RK4 between impulse times, the flow-delayed state
-    # read from the history, the jump-count-delayed one from jump_pre
     seq = seq.covering(horizon)
-    times = seq.times
-    hist = _History(phi)
     x = np.asarray(phi(0.0), dtype=float).copy()
     if x.shape != (n,):
         raise ValueError(f"phi0(0) must have shape ({n},), got {x.shape}")
-    hist.append(0.0, x)
 
-    ts = [0.0]
-    xs = [x]
-    zs = [output(sysv[seq.modes[0] if seq.modes else 0], 0.0, x, hist.read(-h_c))]
+    # method of steps: every row time is known before the first step, the
+    # history is the samples plus one post-jump row per jump, and a chunk
+    # of steps reads the flow-delayed state only at or before its start
+    ht, intervals = _schedule(seq, horizon, step)
+    H = np.empty((len(ht), n))
+    Z = np.empty((len(ht), sys.qc))
+    H[0] = x
+    chunk = max(1, round(h_c / step) - 1)
+    tables = _step_tables(sysv, intervals, step)
+    output = [np.hstack([m.Cc, m.Hc, m.Fc]) for m in sysv]
+    w_prev = w_c(0.0) if pc else np.zeros(0)
+    Z[0] = output[intervals[0][0]] @ np.concatenate([x, phi(-h_c), w_prev])
     jumps: list[JumpRecord] = []
     jump_pre: list[np.ndarray] = []  # jump_pre[k-1] = x(t_k) left limit
 
-    for k in range(len(seq.dwells)):
-        t_start = float(times[k])
-        if t_start >= horizon:
-            break
-        t_end = min(float(times[k + 1]), horizon)
-        mode = seq.modes[k] if seq.modes else 0
+    for k, (mode, r0, steps, partial, jump) in enumerate(intervals):
         m = sysv[mode]
-        t = t_start
-        while t < t_end - 1e-12 * max(1.0, t_end):
-            h = min(step, t_end - t)
-            t_next = t_end if t_end - (t + h) < 1e-12 * step else t + h
-            h = t_next - t
-            tau = t - t_start
-
-            k1 = flow(mode, t, tau, x, hist.read(t - h_c))
-            xm = hist.read(t + 0.5 * h - h_c)
-            k2 = flow(mode, t + 0.5 * h, tau + 0.5 * h, x + 0.5 * h * k1, xm)
-            k3 = flow(mode, t + 0.5 * h, tau + 0.5 * h, x + 0.5 * h * k2, xm)
-            xe = hist.read(t + h - h_c)
-            k4 = flow(mode, t + h, tau + h, x + h * k3, xe)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-            if not np.all(np.isfinite(x)):
+        Tx_tab, Tv_tab = tables[mode]
+        for a in range(0, steps, chunk):
+            r, c = r0 + a, min(chunk, steps - a)  # rows r+1..r+c are new
+            t, t_next = ht[r:r + c], ht[r + 1:r + c + 1]
+            dt = t_next - t
+            s = np.column_stack([t - h_c, t + 0.5 * dt - h_c, t + dt - h_c])
+            D = _read(ht[:r + 1], H[:r + 1], s.ravel(), phi).reshape(c, 3 * n)
+            # w(t + h/2) and w(t + h) per step; w(t) is the last step's w(t + h)
+            W = np.array([w_c(u) for u in np.column_stack([t + 0.5 * dt, t + dt]).ravel().tolist()]
+                         if pc else []).reshape(c, 2 * pc)
+            W = np.hstack([np.vstack([w_prev, W[:-1, pc:]]), W])
+            w_prev = W[-1, 2 * pc:]
+            idx = np.minimum(np.arange(a, a + c), len(Tx_tab) - 1)
+            Tx, Tv = Tx_tab[idx], Tv_tab[idx]
+            if partial and a + c == steps:
+                Tx[-1], Tv[-1] = _step_map(m, float(t[-1] - ht[r0]), float(dt[-1]))
+            U = np.einsum("jik,jk->ji", Tv, np.hstack([D, W]))
+            X = H[r + 1:r + c + 1]
+            for j in range(c):
+                x = X[j] = Tx[j] @ x + U[j]
+            if not np.isfinite(X).all():
+                bad = int(np.argmin(np.isfinite(X).all(axis=1)))
                 raise SimulationError(
-                    f"state became non-finite at t={t_next:.6g}")
-            t = t_next
-            hist.append(t, x)
-            hist.prune(t - h_c - 2.0 * step)
-            ts.append(t)
-            xs.append(x)
-            zs.append(output(m, t, x, xe))
+                    f"state became non-finite at t={t_next[bad]:.6g}")
+            Z[r + 1:r + c + 1] = np.hstack([X, D[:, 2 * n:], W[:, 2 * pc:]]) @ output[mode].T
 
-        if t_end >= horizon or t_end < float(times[k + 1]):
+        if not jump:
             break
+        t_end = float(ht[r0 + steps + 1])
         kj = k + 1  # 1-based jump index at t_end
         if h_d == 0:
             x_kd = x  # x(t_{k-0}) is the current left limit
@@ -458,22 +426,91 @@ def _simulate(sys, seq, w_c, w_d, horizon, step, phi0) -> SimulationTrace:
                 f"state became non-finite at t={t_end:.6g}")
         jumps.append(JumpRecord(kj, t_end, x, x_post, z_d))
         jump_pre.append(x)
-        x = x_post
-        hist.append(t_end, x)
+        x = H[r0 + steps + 1] = x_post
 
-    return SimulationTrace(np.array(ts), np.stack(xs), np.stack(zs), tuple(jumps),
+    sample = np.ones(len(ht), dtype=bool)
+    sample[[r0 for _, r0, *_ in intervals[1:]]] = False  # post-jump rows
+    return SimulationTrace(ht[sample], H[sample], Z[sample], tuple(jumps),
                            step, float(requested), seq)
 
 
-def _flow_mats(sys):
-    """Per-mode flow matrix evaluators; constant blocks are bound once."""
-    def fixed(M):
-        return lambda _tau: M
+def _schedule(seq, horizon, h):
+    """Row times of a run and its intervals (mode, start row, steps,
+    whether the last step is partial, whether a jump ends it).  Steps of
+    h run from each interval start; the last one is snapped onto the
+    interval end, which is then a partial step."""
+    times = seq.times
+    rows, intervals = [0.0], []
+    for k in range(len(seq.dwells)):
+        t_start = float(times[k])
+        if t_start >= horizon:
+            break
+        t_end = min(float(times[k + 1]), horizon)
+        r0, t, partial = len(rows) - 1, t_start, False
+        while t < t_end - 1e-12 * max(1.0, t_end):
+            dt = min(h, t_end - t)
+            snap = t_end - (t + dt) < 1e-12 * h
+            partial = snap or dt < h
+            t = t_end if snap else t + dt
+            rows.append(t)
+        jump = not (t_end >= horizon or t_end < float(times[k + 1]))
+        intervals.append((seq.modes[k] if seq.modes else 0, r0, len(rows) - 1 - r0, partial, jump))
+        if not jump:
+            break
+        rows.append(t_end)
+    return np.array(rows), intervals
 
-    if sys.flow_degree == 0:
-        return (fixed(sys.A.eval(0.0)), fixed(sys.Gc.eval(0.0)),
-                fixed(sys.Ec.eval(0.0)))
-    return (sys.A.eval, sys.Gc.eval, sys.Ec.eval)
+
+def _step_tables(sysv, intervals, h):
+    """Per used mode, the stacked maps of full steps from timers 0, h,
+    2h, ...: one map for a flow that does not depend on the timer, one per
+    step index in a dwell interval otherwise."""
+    count = {}
+    for mode, _, steps, partial, _ in intervals:
+        count[mode] = max(count.get(mode, 1), steps - partial)
+    tables = {}
+    for mode, num in count.items():
+        m = sysv[mode]
+        maps = [_step_map(m, i * h, h) for i in range(num if m.flow_degree else 1)]
+        tables[mode] = tuple(np.array(T) for T in zip(*maps))
+    return tables
+
+
+def _step_map(sys, tau, h):
+    """One RK4 step of the flow from timer tau as x+ = T_x x + T_v v, with
+    v = (x(t - h_c), x(t + h/2 - h_c), x(t + h - h_c), w(t), w(t + h/2),
+    w(t + h)): the stages applied to coefficient matrices over (x, v)."""
+    n, p = sys.n, sys.pc
+    stages = [[M.eval(tau + a * h) for M in (sys.A, sys.Gc, sys.Ec)] for a in (0.0, 0.5, 1.0)]
+
+    def flow(s, y):
+        A, G, E = stages[s]
+        k = A @ y
+        k[:, (s + 1) * n:(s + 2) * n] += G
+        k[:, 4 * n + s * p:4 * n + (s + 1) * p] += E
+        return k
+
+    base = np.eye(n, 4 * n + 3 * p)
+    k1 = flow(0, base)
+    k2 = flow(1, base + 0.5 * h * k1)
+    k3 = flow(1, base + 0.5 * h * k2)
+    k4 = flow(2, base + h * k3)
+    T = base + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return T[:, :n], T[:, n:]
+
+
+def _read(ht, H, s, phi):
+    """History rows (times ht, values H) at times s by linear
+    interpolation: the left limit at a jump time, the newest row past the
+    end, phi0(s) for s <= 0."""
+    i = np.minimum(np.searchsorted(ht, s), len(ht) - 1)
+    t0, t1 = ht[i - 1], ht[i]
+    take = (s >= t1) | (s <= 0.0)
+    w = np.where(take, 1.0, (s - t0) / np.where(take, 1.0, t1 - t0))
+    out = (1.0 - w)[:, None] * H[i - 1] + w[:, None] * H[i]
+    for r in np.flatnonzero(s <= 0.0):
+        out[r] = phi(float(s[r]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +576,9 @@ def _framers(P, K) -> delay.DelaySystem:
 
 
 def _lift(P, K):
-    if isinstance(K, core.TimerFunction):  # RK4 stages 2 and 3 share one timer value
-        return core.TimerFunction(functools.lru_cache(maxsize=1)(
-            lambda tau: _lift(P.eval(tau), K.eval(tau))), (3 * K.shape[0], 3 * K.shape[1]))
+    if isinstance(K, core.TimerFunction):
+        return core.TimerFunction(lambda tau: _lift(P.eval(tau), K.eval(tau)),
+                                  (3 * K.shape[0], 3 * K.shape[1]))
     if isinstance(K, core.TimerMatrixFunction):
         return core.TimerMatrixFunction([_lift(p, k) for p, k in itertools.zip_longest(
             P.coeffs, K.coeffs, fillvalue=np.zeros(K.shape))])

@@ -278,6 +278,57 @@ def test_null_scalings_block_certifies_with_the_default_structure(tmp_path):
     assert json.loads(out.read_text())["scalings"] == "unconstrained"
 
 
+def test_integer_too_large_for_a_float_reaches_the_command_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    with open(_fixture("uncertain_impulsive")) as f:
+        doc = json.load(f)
+    doc["dwell"]["params"]["tbar"] = 10 ** 400
+    path.write_text(json.dumps(doc))
+    assert cli.main(["certify", str(path), "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == ("error: dwell.params.tbar: expected a finite number, "
+                                       "got an integer too large for a float\n")
+
+
+def test_grouped_scalings_without_discrete_channels_certify(tmp_path):
+    """uncertain_impulsive has no discrete channel (ndD = 0), so the
+    discrete groups, which default to groups_c, are not checked.  Tying
+    both continuous entries together leaves no certificate: exit code 2."""
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    with open(_fixture("uncertain_impulsive")) as f:
+        doc = json.load(f)
+    doc["scalings"] = {"structure": "grouped", "groups_c": [[0, 1]]}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["certify", str(path), "--out", str(out)]) == 2
+    loaded = cli.load(str(path))
+    ref = certify.certify_min(loaded.system, loaded.constraint,
+                              core.ScalingStructure.grouped([[0, 1]]), loaded.certify_options)
+    assert isinstance(ref, certify.Infeasible)
+    result = json.loads(out.read_text())
+    assert (result["status"], result["scalings"]) == ("infeasible", "grouped")
+
+
+UI_DISCRETE = {"Gd": [[0.5], [0.0]], "CdD": [[0.0, 1.0]]}  # one discrete channel
+
+
+@pytest.mark.parametrize("extra, scalings, message", [
+    ({}, {"groups_c": [[0, 1]], "groups_d": [[0]]},
+     "scalings.groups_d: groups must partition range(0), got ((0,),)"),
+    ({}, {"groups_c": [[0]]}, "scalings.groups_c: groups must partition range(2), got ((0,),)"),
+    (UI_DISCRETE, {"groups_c": [[0, 1]]},
+     "scalings.groups_c: groups must partition range(1), got ((0, 1),)"),
+    (UI_DISCRETE, {"groups_c": [[0, 1]], "groups_d": [[0, 1]]},
+     "scalings.groups_d: groups must partition range(1), got ((0, 1),)"),
+])
+def test_grouped_scalings_name_the_field_that_fails(extra, scalings, message):
+    with open(_fixture("uncertain_impulsive")) as f:
+        doc = json.load(f)
+    doc["system"].update(extra)
+    doc["scalings"] = {"structure": "grouped", **scalings}
+    with pytest.raises(cli.SchemaError) as err:
+        cli.build(doc)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # every command against the library call that answers it
 

@@ -146,6 +146,61 @@ def test_delayed_flow_follows_method_of_steps():
     assert at[2.0] == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_step_equal_to_the_delay_reads_the_newest_sample():
+    """With step == h_c the read x(t + h - h_c) lands on the newest sample
+    up to an ulp.  xdot = x(t - 0.9)/2, phi0 = 1: x(t) = 1 + t/2 on
+    [0, 0.9] and 1.45 + (t - 0.9)/2 + (t - 0.9)^2/8 on [0.9, 1.8], both
+    exact for RK4 with linear history interpolation."""
+    s = delay.DelaySystem.build(A=[[0.0]], Gc=[[0.5]], h_c=0.9,
+                                phi0=lambda s: np.array([1.0]))
+    tr = sim.simulate(s, sim.DwellSequence.build([3.7]), horizon=3.0, step=0.9)
+    assert tr.step == 0.9
+    assert list(tr.t) == [0.0, 0.9, 1.8, 2.7, 3.0]
+    assert tr.x[1, 0] == pytest.approx(1.45, abs=1e-12)
+    assert tr.x[2, 0] == pytest.approx(2.00125, abs=1e-12)
+    assert np.all(np.isfinite(tr.x))
+
+
+def test_timer_dependent_flow_matches_the_closed_form():
+    """xdot = (-1 + tau) x with x+ = x/2: x = x_k exp(-tau + tau^2/2) on
+    every interval.  Each step index of a dwell interval has its own map
+    and the last, partial step of each interval is mapped on its own."""
+    s = delay.DelaySystem.build(A=core.TimerMatrixFunction([[[-1.0]], [[1.0]]]),
+                                J=[[0.5]], h_c=1.0, phi0=lambda s: np.array([2.0]))
+    seq = sim.gen_sequence(core.Range(0.6, 1.4), 8.0, 5)
+    tr = sim.simulate(s, seq, horizon=8.0, step=0.05)
+    assert len(tr.jumps) == 8
+    T = np.array(seq.dwells)
+    flow = np.exp(-T + T ** 2 / 2)
+    starts = 2.0 * np.concatenate([[1.0], np.cumprod(0.5 * flow)])
+    k = np.maximum(np.searchsorted(seq.times, tr.t) - 1, 0)  # left limit at a jump
+    tau = tr.t - seq.times[k]
+    exact = starts[k] * np.exp(-tau + tau ** 2 / 2)
+    assert np.max(np.abs(tr.x[:, 0] - exact) / exact) < 2e-7  # RK4 at step 0.05
+
+
+def test_exact_gain_observer_run_is_pinned():
+    """Synthesized gains evaluated exactly along the timer (a
+    TimerFunction flow); final samples pinned from a reference run."""
+    plant = systems.range_observer_plant()
+    g = observer.synthesize_range(plant, RANGE_DT, observer.CONSTANT)
+    seq = sim.gen_sequence(RANGE_DT, 12.0, 3)
+    phi0 = lambda s: np.array([0.5, 0.25])
+    one = lambda _: np.array([1.0])
+    minus_one = lambda _: np.array([-1.0])
+    tr = sim.simulate_with_observer(
+        plant, g, seq, w_c=lambda t: np.array([np.sin(t)]),
+        w_d=lambda k: np.array([0.25]), phi0=phi0,
+        phi0_minus=lambda s: phi0(s) - 0.25, phi0_plus=lambda s: phi0(s) + 0.25,
+        horizon=12.0, step=0.05, w_c_bounds=(minus_one, one),
+        w_d_bounds=(minus_one, one))
+    assert (len(tr.t), len(tr.jumps)) == (256, 30)
+    assert tr.x[-1] == pytest.approx([0.282716726228959, 0.11064076469521918], rel=1e-12)
+    assert tr.xminus[-1] == pytest.approx([-0.6334947913424794, -0.29963928677491214], rel=1e-12)
+    assert tr.xplus[-1] == pytest.approx([0.8337677788805687, 0.35680925282817233], rel=1e-12)
+    assert sim.check_enclosure(tr).holds
+
+
 def test_jump_count_delay_uses_prejump_buffer():
     """x+ = 2 x(t_{k-1}) with flow frozen: the delayed read is the
     pre-jump state one impulse ago, phi0(0) for the first jump."""
