@@ -5,6 +5,13 @@ a linear fractional interconnection: the state, an uncertainty channel
 (closed by an operator of unit gain) and a performance channel.  A timer
 measures the time elapsed since the last jump; the flow matrices facing
 the state may depend polynomially on it.
+
+Every system container is a :class:`Container`: its block table (in
+``BLOCKS``, ``MEASUREMENTS`` and ``WEIGHTS``) names each block with its
+row and column dimensions and whether it may depend on the timer, and the
+container derives its attributes, its dimensions and its flow degree from
+that table.  Delayed systems, observed plants and switched plants
+(``posimp.delay``, ``posimp.observer``) are containers of the same kind.
 """
 
 from __future__ import annotations
@@ -211,8 +218,35 @@ def assemble(table, given: dict, dims: dict | None = None, suffix: str = "") -> 
     return out
 
 
-@dataclass(frozen=True)
-class LftPositiveSystem:
+class Container:
+    """A system given by a block table: the blocks of ``TABLE`` (as
+    :func:`assemble` returns them, or one tuple per block with an entry
+    per mode) and any extras as attributes, plus every dimension the table
+    names, read off the block shapes (of the first mode).  Instances are
+    immutable."""
+
+    TABLE: tuple[Block, ...] = ()
+
+    def __init__(self, blocks: dict, **extras):
+        dims = {}
+        for b in self.TABLE:
+            M = blocks[b.name]
+            dims[b.rows], dims[b.cols] = shape_of(M[0] if isinstance(M, tuple) else M)
+        self.__dict__.update(dims, **blocks, **extras)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name}")
+
+    @property
+    def flow_degree(self):
+        """The highest timer degree of the flow blocks (inf for a :class:`TimerFunction`)."""
+        return max(getattr(self, b.name).degree for b in self.TABLE if b.timer)
+
+
+class LftPositiveSystem(Container):
     """Impulsive system with uncertainty and performance channels.
 
     Flow (between jumps, timer tau since the last jump):
@@ -227,24 +261,7 @@ class LftPositiveSystem:
     (integral / summation) gain mapping z_cD -> w_cD and z_dD -> w_dD.
     """
 
-    A: TimerMatrixFunction
-    Gc: TimerMatrixFunction
-    Ec: TimerMatrixFunction
-    CcD: np.ndarray
-    HcD: np.ndarray
-    FcD: np.ndarray
-    Cc: np.ndarray
-    Hc: np.ndarray
-    Fc: np.ndarray
-    J: np.ndarray
-    Gd: np.ndarray
-    Ed: np.ndarray
-    CdD: np.ndarray
-    HdD: np.ndarray
-    FdD: np.ndarray
-    Cd: np.ndarray
-    Hd: np.ndarray
-    Fd: np.ndarray
+    TABLE = BLOCKS["lft"]
 
     @classmethod
     def build(cls, **blocks):
@@ -252,44 +269,17 @@ class LftPositiveSystem:
         validation; omitted blocks default to zero (J to the identity).
         Channel widths are inferred from the blocks given (all zero-width
         if none are), see :func:`assemble`."""
-        return cls(**assemble(BLOCKS["lft"], blocks))
-
-    # dimensions ---------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def ncD(self) -> int:
-        return self.CcD.shape[0]
-
-    @property
-    def pc(self) -> int:
-        return self.Ec.shape[1]
-
-    @property
-    def qc(self) -> int:
-        return self.Cc.shape[0]
-
-    @property
-    def ndD(self) -> int:
-        return self.CdD.shape[0]
-
-    @property
-    def pd(self) -> int:
-        return self.Ed.shape[1]
-
-    @property
-    def qd(self) -> int:
-        return self.Cd.shape[0]
-
-    @property
-    def flow_degree(self) -> int:
-        return max(self.A.degree, self.Gc.degree, self.Ec.degree)
+        return cls(assemble(cls.TABLE, blocks))
 
 
 # ---------------------------------------------------------------------------
 # dwell-time constraints
+
+def _finite(**params) -> None:
+    for name, v in params.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
 
 @dataclass(frozen=True)
 class Range:
@@ -298,6 +288,7 @@ class Range:
     tmax: float
 
     def __post_init__(self):
+        _finite(tmin=self.tmin, tmax=self.tmax)
         if not 0 < self.tmin <= self.tmax:
             raise ValueError("need 0 < tmin <= tmax")
 
@@ -308,6 +299,7 @@ class Minimum:
     tbar: float
 
     def __post_init__(self):
+        _finite(tbar=self.tbar)
         if self.tbar <= 0:
             raise ValueError("tbar must be positive")
 
@@ -322,6 +314,7 @@ class PeriodicRange:
     h_c: float
 
     def __post_init__(self):
+        _finite(tmin=self.tmin, tmax=self.tmax, h_c=self.h_c)
         if not 0 < self.tmin <= self.tmax:
             raise ValueError("need 0 < tmin <= tmax")
         if self.q < 1 or self.alpha < 1 or self.h_c <= 0:
@@ -345,6 +338,7 @@ class PeriodicMinimum:
     h_c: float
 
     def __post_init__(self):
+        _finite(tbar=self.tbar, h_c=self.h_c)
         if self.tbar <= 0:
             raise ValueError("tbar must be positive")
         if self.q < 1 or self.alpha < 1 or self.h_c <= 0:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certify, core
-from .core import TimerMatrixFunction
 
 #: Scaling policies admissible for delayed systems.  Timer-dependent,
 #: non-periodic scalings are rejected: a multiplier that varies with the
@@ -54,8 +53,7 @@ def check_delays(h_c, h_d=0) -> tuple[float, int]:
     return h_c, int(h_d)
 
 
-@dataclass(frozen=True)
-class DelaySystem:
+class DelaySystem(core.Container):
     """Linear impulsive system with one flow delay and one jump-count delay.
 
     Flow (between jumps, timer tau since the last jump):
@@ -68,21 +66,7 @@ class DelaySystem:
     None).  The jump-count delay h_d counts impulses, not time.
     """
 
-    A: TimerMatrixFunction
-    Gc: TimerMatrixFunction
-    Ec: TimerMatrixFunction
-    Cc: np.ndarray
-    Hc: np.ndarray
-    Fc: np.ndarray
-    J: np.ndarray
-    Gd: np.ndarray
-    Ed: np.ndarray
-    Cd: np.ndarray
-    Hd: np.ndarray
-    Fd: np.ndarray
-    h_c: float
-    h_d: int
-    phi0: object = None
+    TABLE = core.BLOCKS["delay"]
 
     @classmethod
     def build(cls, *, h_c=1.0, h_d=0, phi0=None, **blocks):
@@ -92,32 +76,7 @@ class DelaySystem:
         h_c, h_d = check_delays(h_c, h_d)
         if phi0 is not None and not callable(phi0):
             raise ValueError("phi0 must be callable (history on [-h_c, 0]) or None")
-        return cls(**core.assemble(core.BLOCKS["delay"], blocks), h_c=h_c, h_d=h_d, phi0=phi0)
-
-    # dimensions ---------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def pc(self) -> int:
-        return self.Ec.shape[1]
-
-    @property
-    def qc(self) -> int:
-        return self.Cc.shape[0]
-
-    @property
-    def pd(self) -> int:
-        return self.Ed.shape[1]
-
-    @property
-    def qd(self) -> int:
-        return self.Cd.shape[0]
-
-    @property
-    def flow_degree(self) -> int:
-        return max(self.A.degree, self.Gc.degree, self.Ec.degree)
+        return cls(core.assemble(cls.TABLE, blocks), h_c=h_c, h_d=h_d, phi0=phi0)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,7 @@ def _bounds_pair(b, name):
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class ObservedPlant:
+class ObservedPlant(core.Container):
     """Plant with measured outputs, ready for interval-observer synthesis.
 
     Flow (timer tau since the last jump), jump, and measurements:
@@ -109,24 +108,7 @@ class ObservedPlant:
     synthesis programs do not.
     """
 
-    A: TimerMatrixFunction
-    Gc: TimerMatrixFunction
-    Ec: TimerMatrixFunction
-    C_yc: np.ndarray
-    H_yc: np.ndarray
-    F_yc: np.ndarray
-    J: np.ndarray
-    Gd: np.ndarray
-    Ed: np.ndarray
-    C_yd: np.ndarray
-    H_yd: np.ndarray
-    F_yd: np.ndarray
-    M_c: np.ndarray
-    M_d: np.ndarray
-    h_c: float
-    h_d: int
-    w_c_bounds: tuple | None = None
-    w_d_bounds: tuple | None = None
+    TABLE = core.BLOCKS["plant"] + core.MEASUREMENTS["plant"] + core.WEIGHTS["plant"]
 
     @classmethod
     def build(cls, *, M_c=None, M_d=None, h_c=1.0, h_d=0,
@@ -137,39 +119,13 @@ class ObservedPlant:
         widths are inferred from the blocks given."""
         h_c, h_d = delay.check_delays(h_c, h_d)
         mats = core.assemble(core.BLOCKS["plant"] + core.MEASUREMENTS["plant"], blocks)
-        return cls(**mats, **_weights("plant", {"M_c": M_c, "M_d": M_d}, mats["A"].shape[0]),
-                   h_c=h_c, h_d=h_d,
+        mats.update(_weights("plant", {"M_c": M_c, "M_d": M_d}, mats["A"].shape[0]))
+        return cls(mats, h_c=h_c, h_d=h_d,
                    w_c_bounds=_bounds_pair(w_c_bounds, "w_c_bounds"),
                    w_d_bounds=_bounds_pair(w_d_bounds, "w_d_bounds"))
 
-    # dimensions ---------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
-    @property
-    def pc(self) -> int:
-        return self.Ec.shape[1]
-
-    @property
-    def qc(self) -> int:
-        return self.C_yc.shape[0]
-
-    @property
-    def pd(self) -> int:
-        return self.Ed.shape[1]
-
-    @property
-    def qd(self) -> int:
-        return self.C_yd.shape[0]
-
-    @property
-    def flow_degree(self) -> int:
-        return max(self.A.degree, self.Gc.degree, self.Ec.degree)
-
-
-@dataclass(frozen=True)
-class SwitchedPlant:
+class SwitchedPlant(core.Container):
     """N-mode switched plant with one continuous delay and mode-dependent
     measurements; the state is continuous across switches.
 
@@ -180,14 +136,7 @@ class SwitchedPlant:
     measurement width; M weights the observation error in the gain bound.
     """
 
-    A: tuple
-    Gc: tuple
-    Ec: tuple
-    C_y: tuple
-    H_y: tuple
-    F_y: tuple
-    M: np.ndarray
-    h_c: float
+    TABLE = core.BLOCKS["switched"] + core.MEASUREMENTS["switched"] + core.WEIGHTS["switched"]
 
     @classmethod
     def build(cls, *, M=None, h_c=1.0, **blocks):
@@ -208,27 +157,15 @@ class SwitchedPlant:
         dims = core.infer_dims(table, first, {"n": core.shape_of(first["A"])[0]})
         per_mode = [core.assemble(table, {k: v[i] for k, v in modes.items()}, dims, f"[{i}]")
                     for i in range(n_modes)]
-        return cls(**{b.name: tuple(m[b.name] for m in per_mode) for b in table},
-                   **_weights("switched", {"M": M}, dims["n"]), h_c=h_c)
+        return cls({**{b.name: tuple(m[b.name] for m in per_mode) for b in table},
+                    **_weights("switched", {"M": M}, dims["n"])}, h_c=h_c)
 
     @property
     def n_modes(self) -> int:
         return len(self.A)
 
-    @property
-    def n(self) -> int:
-        return self.A[0].shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.Ec[0].shape[1]
-
-    @property
-    def q(self) -> int:
-        return self.C_y[0].shape[0]
-
     def flow_degree(self, mode: int) -> int:
-        return max(self.A[mode].degree, self.Gc[mode].degree, self.Ec[mode].degree)
+        return max(getattr(self, b.name)[mode].degree for b in self.TABLE if b.timer)
 
 
 class _ExactGain:

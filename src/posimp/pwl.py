@@ -68,25 +68,6 @@ def hat_matrix(nodes: np.ndarray, taus) -> np.ndarray:
     return out
 
 
-class PwlFunction:
-    """Scalar continuous piecewise-linear function given by node values."""
-
-    def __init__(self, nodes, values):
-        self.nodes = _check_nodes(nodes)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != self.nodes.shape:
-            raise ValueError("values must match nodes in shape")
-
-    @property
-    def horizon(self) -> float:
-        return float(self.nodes[-1])
-
-    def eval(self, tau: float) -> float:
-        return float(sum(w * self.values[i] for i, w in hat_weights(self.nodes, tau)))
-
-    __call__ = eval
-
-
 class PwlVector:
     """Vector of piecewise-linear entries on a shared grid.  values: (n, N)."""
 

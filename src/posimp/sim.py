@@ -135,8 +135,7 @@ def gen_sequence(constraint, horizon: float, seed: int, *,
     i.i.d. uniform for the non-periodic kinds, a repeating pattern of
     length q for the periodic ones.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     rng = np.random.default_rng(seed)
 
     if isinstance(constraint, core.Range):
@@ -173,6 +172,13 @@ def gen_sequence(constraint, horizon: float, seed: int, *,
 
     raise TypeError(
         f"unsupported dwell-time constraint {type(constraint).__name__}")
+
+
+def _check_horizon(horizon) -> None:
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
 
 
 def _draw_until(rng, lo, hi, horizon):
@@ -343,8 +349,7 @@ def _simulate(sys, seq, w_c, w_d, horizon, step, phi0) -> SimulationTrace:
             raise ValueError("all modes must share state/channel widths")
     sys = sysv[0]
 
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     n, pc, pd, h_c, h_d = sys.n, sys.pc, sys.pd, sys.h_c, sys.h_d
     requested = step if step is not None else min(h_c, min(seq.dwells)) / 16.0
     h = _adjust_step(requested, h_c, min(seq.dwells))
@@ -395,15 +400,18 @@ def _simulate(sys, seq, w_c, w_d, horizon, step, phi0) -> SimulationTrace:
             Tx, Tv = Tx_tab[idx], Tv_tab[idx]
             if partial and a + c == steps:
                 Tx[-1], Tv[-1] = _step_map(m, float(t[-1] - ht[r0]), float(dt[-1]))
-            U = np.einsum("jik,jk->ji", Tv, np.hstack([D, W]))
             X = H[r + 1:r + c + 1]
-            for j in range(c):
-                x = X[j] = Tx[j] @ x + U[j]
-            if not np.isfinite(X).all():
-                bad = int(np.argmin(np.isfinite(X).all(axis=1)))
-                raise SimulationError(
-                    f"state became non-finite at t={t_next[bad]:.6g}")
-            Z[r + 1:r + c + 1] = np.hstack([X, D[:, 2 * n:], W[:, 2 * pc:]]) @ output[mode].T
+            # a diverging state ends the run with a SimulationError, not a
+            # numpy warning; the caller's inputs and history are read above
+            with np.errstate(over="ignore", invalid="ignore"):
+                U = np.einsum("jik,jk->ji", Tv, np.hstack([D, W]))
+                for j in range(c):
+                    x = X[j] = Tx[j] @ x + U[j]
+                if not np.isfinite(X).all():
+                    bad = int(np.argmin(np.isfinite(X).all(axis=1)))
+                    raise SimulationError(
+                        f"state became non-finite at t={t_next[bad]:.6g}")
+                Z[r + 1:r + c + 1] = np.hstack([X, D[:, 2 * n:], W[:, 2 * pc:]]) @ output[mode].T
 
         if not jump:
             break
@@ -415,12 +423,13 @@ def _simulate(sys, seq, w_c, w_d, horizon, step, phi0) -> SimulationTrace:
             x_kd = jump_pre[kj - h_d - 1]
         else:
             x_kd = phi(0.0)
-        x_post = m.J @ x + m.Gd @ x_kd
-        z_d = m.Cd @ x + m.Hd @ x_kd
-        if pd:
-            wd = w_d(kj)
-            x_post = x_post + m.Ed @ wd
-            z_d = z_d + m.Fd @ wd
+        wd = w_d(kj) if pd else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_post = m.J @ x + m.Gd @ x_kd
+            z_d = m.Cd @ x + m.Hd @ x_kd
+            if pd:
+                x_post = x_post + m.Ed @ wd
+                z_d = z_d + m.Fd @ wd
         if not np.all(np.isfinite(x_post)):
             raise SimulationError(
                 f"state became non-finite at t={t_end:.6g}")
@@ -656,6 +665,7 @@ def empirical_gain(sys, constraint, *, n_trials: int = 64, seed: int = 0,
             f"unsupported dwell-time constraint {type(constraint).__name__}")
     if horizon is None:
         horizon = 50.0 * max(lo, hi)
+    _check_horizon(horizon)
     h = _adjust_step(step if step is not None else min(base.h_c, lo) / 8.0,
                      base.h_c, lo)
 

@@ -131,6 +131,14 @@ def test_simulate_command_with_constant_gains(tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == "t,x_1,x_2,xminus_1,xminus_2,xplus_1,xplus_2"
 
 
+def test_simulate_rejects_an_infinite_horizon(tmp_path, capsys):
+    csv = tmp_path / "trace.csv"
+    assert cli.main(["simulate", _fixture("stable_toy"), "--seq", "gen:1",
+                     "--horizon", "inf", "--out", str(csv)]) == 1
+    assert capsys.readouterr().err == "error: horizon must be finite, got inf\n"
+    assert not csv.exists()
+
+
 @pytest.fixture
 def synthesized(tmp_path):
     """The synthesize result document of range_observer_plant, and the

@@ -1,8 +1,14 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
-from posimp import core
+import systems
+from posimp import cli, core, observer
 from systems import uncertain_impulsive, stable_toy
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
 
 def test_timer_matrix_eval_and_derivative():
@@ -36,6 +42,50 @@ def test_timer_matrix_validation():
     # trailing zero coefficients are trimmed, so this is fine
     F = core.TimerMatrixFunction([np.eye(1)] + [np.zeros((1, 1))] * 9)
     assert F.degree == 0
+
+
+def _containers():
+    """Every container kind: the fixtures as the CLI loads them, the shared
+    test systems, a timer-polynomial flow and the error systems."""
+    named = [(f"fixture:{f[:-5]}", cli.load(os.path.join(FIXTURES, f)).system)
+             for f in sorted(os.listdir(FIXTURES))]
+    named += [(f.__name__, f()) for f in (
+        systems.uncertain_impulsive, systems.stable_toy, systems.range_observer_error,
+        systems.min_observer_error, systems.range_observer_plant, systems.min_observer_plant,
+        systems.switched_toy, systems.power_control)]
+    poly = core.TimerMatrixFunction([-np.eye(2), np.zeros((2, 2)), 0.1 * np.eye(2)])
+    ramp = core.TimerMatrixFunction([np.zeros((2, 1))] * 3 + [[[0.1], [0.0]]])
+    named.append(("timer_polynomial", core.LftPositiveSystem.build(A=poly, Ec=ramp)))
+    named.append(("timer_switched", observer.SwitchedPlant.build(
+        A=[-np.eye(2), -np.eye(2)], Gc=[np.zeros((2, 2)), poly], Ec=[ramp, np.zeros((2, 1))])))
+    named.append(("plant_error", observer.error_system(systems.range_observer_plant())))
+    named += [(f"switched_error[{i}]", e)
+              for i, e in enumerate(observer.error_system(systems.switched_toy()))]
+    return [pytest.param(c, id=name) for name, c in named]
+
+
+@pytest.mark.parametrize("c", _containers())
+def test_containers_follow_their_tables(c):
+    table = type(c).TABLE
+    modes = c.n_modes if isinstance(c, observer.SwitchedPlant) else None
+    for b in table:
+        M = getattr(c, b.name)
+        per_mode = M if isinstance(M, tuple) else (M,)
+        assert len(per_mode) == (modes if isinstance(M, tuple) else 1)
+        dims = (getattr(c, b.rows), getattr(c, b.cols))
+        assert all(isinstance(d, int) for d in dims)
+        for m in per_mode:
+            assert core.shape_of(m) == dims, b.name
+    if modes:
+        for i in range(modes):
+            assert c.flow_degree(i) == max(c.A[i].degree, c.Gc[i].degree, c.Ec[i].degree)
+    else:
+        assert c.flow_degree == max(c.A.degree, c.Gc.degree, c.Ec.degree)
+    for attr in ("A", "n", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(c, attr, None)
+    with pytest.raises(AttributeError):
+        del c.A
 
 
 def test_build_infers_dimensions_and_zero_fills():
@@ -157,6 +207,19 @@ def test_dwell_constraint_validation():
         core.PeriodicRange(0.5, 0.6, q=2, alpha=1, h_c=4.0)
     with pytest.raises(ValueError):
         core.PeriodicMinimum(3.0, q=2, alpha=1, h_c=4.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            core.Minimum(bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            core.Range(1.0, bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            core.Range(bad, bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            core.PeriodicRange(0.5, 1.5, q=2, alpha=1, h_c=bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            core.PeriodicMinimum(bad, q=2, alpha=1, h_c=4.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            core.PeriodicMinimum(0.5, q=2, alpha=1, h_c=bad)
 
 
 def test_scaling_structures():

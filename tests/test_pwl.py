@@ -15,13 +15,13 @@ def test_uniform_nodes():
 
 
 def test_eval_interpolates_and_clamps():
-    f = pwl.PwlFunction([0.0, 1.0, 2.0], [1.0, 3.0, 2.0])
-    assert f.eval(0.0) == 1.0
-    assert f.eval(0.5) == 2.0
-    assert f.eval(1.5) == 2.5
+    f = pwl.PwlVector([0.0, 1.0, 2.0], [[1.0, 3.0, 2.0]])
+    assert f.eval(0.0) == [1.0]
+    assert f.eval(0.5) == [2.0]
+    assert f.eval(1.5) == [2.5]
     # freeze convention beyond the grid
-    assert f.eval(5.0) == 2.0
-    assert f.eval(-1.0) == 1.0
+    assert f.eval(5.0) == [2.0]
+    assert f.eval(-1.0) == [1.0]
 
 
 def test_hat_weights_partition_of_unity():
@@ -39,9 +39,9 @@ def test_hat_weights_partition_of_unity():
 )
 def test_eval_stays_within_the_node_values(vals, t):
     nodes = pwl.uniform_nodes(3.0, len(vals))
-    f = pwl.PwlFunction(nodes, vals)
+    f = pwl.PwlVector(nodes, [vals])
     lo, hi = min(vals), max(vals)
-    assert lo - 1e-12 <= f.eval(t) <= hi + 1e-12
+    assert lo - 1e-12 <= f.eval(t)[0] <= hi + 1e-12
 
 
 def test_vector_and_matrix_wrappers():
@@ -77,8 +77,8 @@ def test_window_points():
 
 def test_bad_shapes_raise():
     with pytest.raises(ValueError):
-        pwl.PwlFunction([0.0, 0.0], [1.0, 2.0])
+        pwl.PwlVector([0.0, 0.0], [[1.0, 2.0]])
     with pytest.raises(ValueError):
-        pwl.PwlFunction([0.0, 1.0], [1.0, 2.0, 3.0])
+        pwl.PwlVector([0.0, 1.0], [[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         pwl.PwlVector([0.0, 1.0], [1.0, 2.0])

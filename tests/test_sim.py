@@ -247,6 +247,35 @@ def test_simulation_error_on_blowup():
                      horizon=50.0, step=0.25)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blowup_is_a_simulation_error_when_warnings_are_errors():
+    s = delay.DelaySystem.build(A=[[50.0]], Ed=[[1.0]], h_c=1.0,
+                                phi0=lambda s: np.array([1.0]))
+    with pytest.raises(sim.SimulationError, match="non-finite at t="):
+        sim.simulate(s, sim.DwellSequence.build([100.0]),
+                     horizon=50.0, step=0.25)
+    # the jump arithmetic: a finite left limit times a huge jump map
+    big = delay.DelaySystem.build(A=[[-1.0]], J=[[1e300]], h_c=1.0,
+                                  phi0=lambda s: np.array([1e10]))
+    with pytest.raises(sim.SimulationError, match="non-finite at t=1$"):
+        sim.simulate(big, sim.DwellSequence.build([1.0, 1.0]), horizon=2.0)
+    # the caller's own arithmetic still warns
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        sim.simulate(s, sim.DwellSequence.build([0.5, 0.5]), horizon=1.0,
+                     w_d=lambda k: np.array([1e300]) * 1e300)
+
+
+def test_non_finite_horizon_is_rejected():
+    s = scalar_decay()
+    for horizon in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            sim.gen_sequence(RANGE_DT, horizon, 0)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            sim.simulate(s, sim.DwellSequence.build([1.0], repeats=True), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            sim.empirical_gain(s, RANGE_DT, n_trials=1, horizon=horizon)
+
+
 def test_trajectory_nonnegative_on_positive_fixture():
     e2 = systems.range_observer_error()
     seq = sim.gen_sequence(RANGE_DT, 20.0, 11)
