@@ -5,21 +5,23 @@ Trajectories are integrated with fixed-step RK4 between impulse times
 every jump, so one RK4 step of the linear delayed flow is a linear map
 of the state, the three delayed reads x(t - h_c), x(t + h/2 - h_c),
 x(t + h - h_c) and the three input samples w(t), w(t + h/2), w(t + h).
-A per-run table holds that map for every mode (and every step index of
-a dwell interval when the flow depends on the timer); only the last,
-partial step of an interval gets a map of its own.  An interval is
-walked in chunks of at most h_c/h - 1 steps, so every delayed read of a
-chunk lies at or before its start: one sorted search over the history
-(the samples plus the post-jump rows) reads them all by linear
-interpolation, and the inputs are called once per distinct stage time.
-The jump-count-delayed state x(t_{k - h_d}) comes from a buffer of
-pre-jump samples.  Integration always lands exactly on each impulse
-time; the jump map is applied to the left limit x(t_k) and the trace
-continues from the post-jump value.  A switched system is a per-mode
-list run along the modes of the dwell sequence.  Every run goes through
-one engine: an interval-observer run is a plain run of one 3n-state
-system on (x, x^-, x^+) that lifts the plant and its closed error system
-from :func:`posimp.observer.error_system`.
+
+A run is planned before its first step: its row times (the samples and
+one post-jump row per jump); the step maps of each mode, one for a flow
+that does not depend on the timer (the degree-4 polynomial of the map
+in h gives it and each interval's last, partial step) and one per step
+index of a dwell interval otherwise; the two rows and the weight of
+every delayed read; and every input value, each shape-checked: w_c on
+all stage times, w_d on all jump indices, phi0 on 0, -h_c and every
+read at or before 0.  An interval is walked in chunks of at most
+h_c/h - 1 steps, so a chunk's reads are clamped to its start row and
+touch only rows written before it; per chunk the loop interpolates the
+reads, applies the maps and computes the outputs.  The jump map acts on
+the left limit x(t_k), with x(t_{k - h_d}) from a buffer of pre-jump
+samples.  A switched system is a per-mode list run along the modes of
+the dwell sequence; an interval-observer run is a plain run of one
+3n-state system on (x, x^-, x^+) that lifts the plant and its closed
+error system from :func:`posimp.observer.error_system`.
 
 The module also generates admissible dwell-time sequences for every
 constraint kind, checks interval-observer enclosures sample by sample,
@@ -30,8 +32,9 @@ Conventions documented here because the dynamics leave them open:
   * the delayed read at exactly an impulse time returns the left limit,
     and a read past the newest sample (by rounding, when h = h_c)
     returns that sample;
-  * w_c is called once per distinct stage time: w(t + h) of a step also
-    serves the output at t + h and the first stage of the next step;
+  * w_c is called once per distinct stage time, in increasing order:
+    w(t + h) of a step also serves the output at t + h and the first
+    stage of the next step;
   * the discrete disturbance w_d is evaluated at the jump index k
     (1-based, so the jump at t_1 consumes w_d(1));
   * x(t_{k-h_d}) is the pre-jump state at t_{k-h_d}, and phi0(0) while
@@ -44,6 +47,7 @@ Conventions documented here because the dynamics leave them open:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -182,12 +186,15 @@ def _check_horizon(horizon) -> None:
 
 
 def _draw_until(rng, lo, hi, horizon):
-    dwells, total = [], 0.0
+    """Uniform dwells in [lo, hi] until they cover the horizon, as one draw
+    at a time would give them.  No sum of ceil(R/hi) - 2 draws reaches the
+    remainder R, with a whole dwell to spare for rounding."""
+    blocks, total = [], 0.0
     while total < horizon:
-        T = float(rng.uniform(lo, hi))
-        dwells.append(T)
-        total += T
-    return dwells
+        block = rng.uniform(lo, hi, max(1, math.ceil((horizon - total) / hi) - 1))
+        total = float(np.add.accumulate(np.concatenate([[total], block]))[-1])
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def _draw_block(rng, q, lo, hi, target):
@@ -281,33 +288,32 @@ def _adjust_step(step: float, h_c: float, min_dwell: float) -> float:
 
 
 def _input_fn(fn, width, name):
+    """The sampler of ``fn``: a list of arguments in, the (len, width)
+    array of values out, each value shape-checked; None samples zeros."""
     if fn is None:
-        zero = np.zeros(width)
-        return lambda _t: zero
+        return lambda args: np.zeros((len(args), width))
     if not callable(fn):
         raise ValueError(f"{name} must be callable or None")
 
-    def wrapped(arg):
-        v = np.atleast_1d(np.asarray(fn(arg), dtype=float))
-        if v.shape != (width,):
-            raise ValueError(
-                f"{name} returned shape {v.shape}, expected ({width},)")
-        return v
+    def sample(args):
+        vals = [fn(a) for a in args]
+        try:  # one conversion when all values have the same shape
+            out = np.array(vals, dtype=float)
+            if out.shape[1:] == (width,) or (width == 1 and out.ndim == 1):
+                return out.reshape(len(vals), width)
+        except ValueError:  # scalars mixed with arrays
+            pass
+        vals = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vals]
+        for v in vals:
+            if v.shape != (width,):
+                raise ValueError(f"{name} returned shape {v.shape}, expected ({width},)")
+        return np.array(vals).reshape(len(vals), width)
 
-    return wrapped
-
-
-def _as_phi(phi0, n):
-    if phi0 is None:
-        zero = np.zeros(n)
-        return lambda _s: zero
-    if not callable(phi0):
-        raise ValueError("initial history must be callable or None")
-    return lambda s: np.atleast_1d(np.asarray(phi0(s), dtype=float))
+    return sample
 
 
-def _stacked(fns):
-    return lambda arg: np.concatenate([f(arg) for f in fns])
+def _stacked(samplers):
+    return lambda args: np.hstack([f(args) for f in samplers])
 
 
 # ---------------------------------------------------------------------------
@@ -326,29 +332,38 @@ def simulate(sys, seq: DwellSequence, w_c=None, w_d=None, *,
     and to stay below a quarter of the shortest dwell; the adjustment
     is reported with a warning and recorded on the trace.
     """
-    return _simulate(sys, seq, w_c, w_d, horizon, step, phi0)
+    sysv = _modes(sys, seq)
+    m = sysv[0]
+    return _simulate(sysv, seq, _input_fn(w_c, m.pc, "w_c"), _input_fn(w_d, m.pd, "w_d"),
+                     _input_fn(phi0 if phi0 is not None else m.phi0, m.n, "phi0"),
+                     horizon, step)
 
 
-def _simulate(sys, seq, w_c, w_d, horizon, step, phi0) -> SimulationTrace:
-    """The engine of :func:`simulate` and :func:`simulate_with_observer`.
-    Observer runs call it directly, so they are not also calls of
-    ``simulate`` to anything that wraps that name."""
-    sysv = list(sys) if isinstance(sys, (list, tuple)) else [sys]
-    if isinstance(sys, (list, tuple)):
-        if len(sysv) < 1:
-            raise ValueError("need at least one mode system")
-        if seq.modes is None:
-            raise ValueError("mode list given but seq carries no modes")
-        if max(seq.modes) >= len(sysv):
-            raise ValueError(
-                f"seq uses mode {max(seq.modes)} but only {len(sysv)} "
-                "systems were given")
-        if any(m.h_c != sysv[0].h_c for m in sysv):
-            raise ValueError("all modes must share the flow delay h_c")
-        if any((m.n, m.qc, m.pc) != (sysv[0].n, sysv[0].qc, sysv[0].pc) for m in sysv):
-            raise ValueError("all modes must share state/channel widths")
+def _modes(sys, seq) -> list:
+    """The mode systems of a run: [sys], or a per-mode list checked against seq."""
+    if not isinstance(sys, (list, tuple)):
+        return [sys]
+    sysv = list(sys)
+    if len(sysv) < 1:
+        raise ValueError("need at least one mode system")
+    if seq.modes is None:
+        raise ValueError("mode list given but seq carries no modes")
+    if max(seq.modes) >= len(sysv):
+        raise ValueError(
+            f"seq uses mode {max(seq.modes)} but only {len(sysv)} "
+            "systems were given")
+    if any(m.h_c != sysv[0].h_c for m in sysv):
+        raise ValueError("all modes must share the flow delay h_c")
+    if any((m.n, m.qc, m.pc) != (sysv[0].n, sysv[0].qc, sysv[0].pc) for m in sysv):
+        raise ValueError("all modes must share state/channel widths")
+    return sysv
+
+
+def _simulate(sysv, seq, w_c, w_d, phi, horizon, step) -> SimulationTrace:
+    """The engine of :func:`simulate` and :func:`simulate_with_observer` on
+    mode systems and samplers.  Observer runs call it directly, so they are
+    not also calls of ``simulate`` to anything that wraps that name."""
     sys = sysv[0]
-
     _check_horizon(horizon)
     n, pc, pd, h_c, h_d = sys.n, sys.pc, sys.pd, sys.h_c, sys.h_d
     requested = step if step is not None else min(h_c, min(seq.dwells)) / 16.0
@@ -358,81 +373,76 @@ def _simulate(sys, seq, w_c, w_d, horizon, step, phi0) -> SimulationTrace:
         warnings.warn(f"step adjusted from {step:.6g} to {h:.6g} to divide "
                       "h_c and respect the shortest dwell", stacklevel=3)
     step = h
-
-    w_c = _input_fn(w_c, pc, "w_c")
-    w_d = _input_fn(w_d, pd, "w_d")
-    phi = _as_phi(phi0 if phi0 is not None else sys.phi0, n)
     seq = seq.covering(horizon)
-    x = np.asarray(phi(0.0), dtype=float).copy()
-    if x.shape != (n,):
-        raise ValueError(f"phi0(0) must have shape ({n},), got {x.shape}")
 
-    # method of steps: every row time is known before the first step, the
-    # history is the samples plus one post-jump row per jump, and a chunk
-    # of steps reads the flow-delayed state only at or before its start
+    # the plan: each delayed read is clamped to its chunk's start row and
+    # interpolates two rows of G, phi0 samples first, then the history
     ht, intervals = _schedule(seq, horizon, step)
-    H = np.empty((len(ht), n))
-    Z = np.empty((len(ht), sys.qc))
-    H[0] = x
     chunk = max(1, round(h_c / step) - 1)
+    counts = np.array([steps for _, _, steps, *_ in intervals])
+    first = np.cumsum(counts) - counts  # the first step of each interval
+    i = np.arange(counts.sum()) - np.repeat(first, counts)
+    rows = np.repeat([r0 for _, r0, *_ in intervals], counts) + i  # step -> start row
+    t, dt = ht[rows], ht[rows + 1] - ht[rows]
+    stage = np.column_stack([t + 0.5 * dt, t + dt])
+    s = (np.column_stack([t, stage]) - h_c).ravel()
+    k = np.minimum(np.searchsorted(ht, s), np.repeat(rows - i % chunk, 3))
+    past = s <= 0.0
+    take = (s >= ht[k]) | past
+    w = np.where(take, 1.0, (s - ht[k - 1]) / np.where(take, 1.0, ht[k] - ht[k - 1]))
+    P = phi([0.0, -h_c, *s[past].tolist()])
+    ia, ib = np.maximum(k - 1, 0) + len(P), k + len(P)
+    ia[past] = ib[past] = 2 + np.arange(len(P) - 2)
+    # w(t) of a step is w(t + h) of the step before, w(0) for the first
+    Ws = w_c([0.0, *stage.ravel().tolist()]) if pc else np.zeros((2 * len(t) + 1, 0))
+    Wf = np.hstack([Ws[:-1:2], Ws[1::2], Ws[2::2]])
+    n_jumps = sum(iv[4] for iv in intervals)
+    Wd = w_d(range(1, n_jumps + 1)) if pd else np.zeros((n_jumps, 0))
+
+    G = np.vstack([P, P[:1], np.full((len(ht) - 1, n), np.nan)])  # phi0, history (NaN unwritten)
+    H, x = G[len(P):], P[0]
+    Z = np.empty((len(ht), sys.qc))
     tables = _step_tables(sysv, intervals, step)
     output = [np.hstack([m.Cc, m.Hc, m.Fc]) for m in sysv]
-    w_prev = w_c(0.0) if pc else np.zeros(0)
-    Z[0] = output[intervals[0][0]] @ np.concatenate([x, phi(-h_c), w_prev])
+    Z[0] = output[intervals[0][0]] @ np.concatenate([x, P[1], Ws[0]])
     jumps: list[JumpRecord] = []
     jump_pre: list[np.ndarray] = []  # jump_pre[k-1] = x(t_k) left limit
 
-    for k, (mode, r0, steps, partial, jump) in enumerate(intervals):
+    for kj, (mode, r0, steps, partial, jump) in enumerate(intervals, 1):
         m = sysv[mode]
-        Tx_tab, Tv_tab = tables[mode]
+        Tx_tab, Tv_tab, one = tables[mode]
         for a in range(0, steps, chunk):
-            r, c = r0 + a, min(chunk, steps - a)  # rows r+1..r+c are new
-            t, t_next = ht[r:r + c], ht[r + 1:r + c + 1]
-            dt = t_next - t
-            s = np.column_stack([t - h_c, t + 0.5 * dt - h_c, t + dt - h_c])
-            D = _read(ht[:r + 1], H[:r + 1], s.ravel(), phi).reshape(c, 3 * n)
-            # w(t + h/2) and w(t + h) per step; w(t) is the last step's w(t + h)
-            W = np.array([w_c(u) for u in np.column_stack([t + 0.5 * dt, t + dt]).ravel().tolist()]
-                         if pc else []).reshape(c, 2 * pc)
-            W = np.hstack([np.vstack([w_prev, W[:-1, pc:]]), W])
-            w_prev = W[-1, 2 * pc:]
+            r, c, j = r0 + a, min(chunk, steps - a), first[kj - 1] + a  # rows r+1..r+c are new
+            g = slice(3 * j, 3 * (j + c))
+            D = ((1.0 - w[g])[:, None] * G[ia[g]] + w[g][:, None] * G[ib[g]]).reshape(c, 3 * n)
+            W = Wf[j:j + c]
             idx = np.minimum(np.arange(a, a + c), len(Tx_tab) - 1)
             Tx, Tv = Tx_tab[idx], Tv_tab[idx]
             if partial and a + c == steps:
-                Tx[-1], Tv[-1] = _step_map(m, float(t[-1] - ht[r0]), float(dt[-1]))
+                Tx[-1], Tv[-1] = one(float(t[j + c - 1] - ht[r0]), float(dt[j + c - 1]))
             X = H[r + 1:r + c + 1]
             # a diverging state ends the run with a SimulationError, not a
-            # numpy warning; the caller's inputs and history are read above
+            # numpy warning (the caller's callables ran before the loop)
             with np.errstate(over="ignore", invalid="ignore"):
                 U = np.einsum("jik,jk->ji", Tv, np.hstack([D, W]))
-                for j in range(c):
-                    x = X[j] = Tx[j] @ x + U[j]
+                for q in range(c):
+                    x = X[q] = Tx[q] @ x + U[q]
                 if not np.isfinite(X).all():
                     bad = int(np.argmin(np.isfinite(X).all(axis=1)))
                     raise SimulationError(
-                        f"state became non-finite at t={t_next[bad]:.6g}")
+                        f"state became non-finite at t={ht[r + 1 + bad]:.6g}")
                 Z[r + 1:r + c + 1] = np.hstack([X, D[:, 2 * n:], W[:, 2 * pc:]]) @ output[mode].T
 
         if not jump:
             break
         t_end = float(ht[r0 + steps + 1])
-        kj = k + 1  # 1-based jump index at t_end
-        if h_d == 0:
-            x_kd = x  # x(t_{k-0}) is the current left limit
-        elif kj - h_d >= 1:
-            x_kd = jump_pre[kj - h_d - 1]
-        else:
-            x_kd = phi(0.0)
-        wd = w_d(kj) if pd else None
+        # x(t_{k-h_d}): the current left limit when h_d = 0, phi0(0) while k <= h_d
+        x_kd = x if h_d == 0 else jump_pre[kj - h_d - 1] if kj > h_d else P[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            x_post = m.J @ x + m.Gd @ x_kd
-            z_d = m.Cd @ x + m.Hd @ x_kd
-            if pd:
-                x_post = x_post + m.Ed @ wd
-                z_d = z_d + m.Fd @ wd
+            x_post = m.J @ x + m.Gd @ x_kd + m.Ed @ Wd[kj - 1]
+            z_d = m.Cd @ x + m.Hd @ x_kd + m.Fd @ Wd[kj - 1]
         if not np.all(np.isfinite(x_post)):
-            raise SimulationError(
-                f"state became non-finite at t={t_end:.6g}")
+            raise SimulationError(f"state became non-finite at t={t_end:.6g}")
         jumps.append(JumpRecord(kj, t_end, x, x_post, z_d))
         jump_pre.append(x)
         x = H[r0 + steps + 1] = x_post
@@ -472,16 +482,20 @@ def _schedule(seq, horizon, h):
 
 def _step_tables(sysv, intervals, h):
     """Per used mode, the stacked maps of full steps from timers 0, h,
-    2h, ...: one map for a flow that does not depend on the timer, one per
-    step index in a dwell interval otherwise."""
+    2h, ... (one when the flow does not depend on the timer) and the map
+    of one step of any length from any timer."""
     count = {}
     for mode, _, steps, partial, _ in intervals:
         count[mode] = max(count.get(mode, 1), steps - partial)
     tables = {}
     for mode, num in count.items():
         m = sysv[mode]
-        maps = [_step_map(m, i * h, h) for i in range(num if m.flow_degree else 1)]
-        tables[mode] = tuple(np.array(T) for T in zip(*maps))
+        if m.flow_degree:
+            one = functools.partial(_step_map, m)
+        else:
+            one = lambda _tau, dt, C=_step_poly(m): _poly_map(C, dt)
+        maps = [one(i * h, h) for i in range(num if m.flow_degree else 1)]
+        tables[mode] = (*(np.array(T) for T in zip(*maps)), one)
     return tables
 
 
@@ -508,18 +522,35 @@ def _step_map(sys, tau, h):
     return T[:, :n], T[:, n:]
 
 
-def _read(ht, H, s, phi):
-    """History rows (times ht, values H) at times s by linear
-    interpolation: the left limit at a jump time, the newest row past the
-    end, phi0(s) for s <= 0."""
-    i = np.minimum(np.searchsorted(ht, s), len(ht) - 1)
-    t0, t1 = ht[i - 1], ht[i]
-    take = (s >= t1) | (s <= 0.0)
-    w = np.where(take, 1.0, (s - t0) / np.where(take, 1.0, t1 - t0))
-    out = (1.0 - w)[:, None] * H[i - 1] + w[:, None] * H[i]
-    for r in np.flatnonzero(s <= 0.0):
-        out[r] = phi(float(s[r]))
-    return out
+def _step_poly(sys):
+    """:func:`_step_map` of a flow that does not depend on the timer as a
+    degree-4 polynomial in h, C[j] the coefficient of h^j: its stages
+    applied to polynomial coefficients."""
+    n, p = sys.n, sys.pc
+    A, G, E = (M.eval(0.0) for M in (sys.A, sys.Gc, sys.Ec))
+
+    def flow(s, Y):
+        K = A @ Y
+        K[0, :, (s + 1) * n:(s + 2) * n] += G
+        K[0, :, 4 * n + s * p:4 * n + (s + 1) * p] += E
+        return K
+
+    base = np.eye(n, 4 * n + 3 * p)[None]
+    k1 = flow(0, base)
+    k2 = flow(1, np.concatenate([base, 0.5 * k1]))
+    k3 = flow(1, np.concatenate([base, 0.5 * k2]))
+    k4 = flow(2, np.concatenate([base, k3]))
+    k4[:3] += 2.0 * k3
+    k4[:2] += 2.0 * k2
+    k4[:1] += k1
+    return np.concatenate([base, k4 / 6.0])
+
+
+def _poly_map(C, h):
+    """The step map of coefficients C at step h, split as (T_x, T_v)."""
+    T = functools.reduce(lambda T, c: T * h + c, C[::-1])
+    n = C.shape[1]
+    return T[:, :n], T[:, n:]
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +592,16 @@ def simulate_with_observer(plant, gains, seq: DwellSequence, *,
     db = w_d_bounds if w_d_bounds is not None else getattr(plant, "w_d_bounds", None)
     w = [_input_fn(f, pc, name) for f, name in zip(
         (w_c, *(cb or (None, None))), ("w_c", "w_c lower bound", "w_c upper bound"))]
-    if np.any(w[1](0.0) > w[0](0.0)) or np.any(w[0](0.0) > w[2](0.0)):
+    w_0, w_lo, w_hi = (f([0.0])[0] for f in w)
+    if np.any(w_lo > w_0) or np.any(w_0 > w_hi):
         raise ValueError("disturbance leaves its declared bounds at t=0")
     d = [_input_fn(f, pd, name) for f, name in zip(
         (w_d, *(db or (None, None))), ("w_d", "w_d lower bound", "w_d upper bound"))]
-    phi = _stacked([_as_phi(f, plant.n) for f in (phi0, phi0_minus, phi0_plus)])
+    phi = [_input_fn(f, plant.n, name) for f, name in zip(
+        (phi0, phi0_minus, phi0_plus), ("phi0", "phi0_minus", "phi0_plus"))]
 
-    trace = _simulate(framers, seq, _stacked(w), _stacked(d), horizon, step, phi)
+    trace = _simulate(_modes(framers, seq), seq, _stacked(w), _stacked(d), _stacked(phi),
+                      horizon, step)
     x, xminus, xplus = np.split(trace.x, 3, axis=1)
     return dataclasses.replace(trace, x=x, xminus=xminus, xplus=xplus)
 

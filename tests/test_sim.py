@@ -7,6 +7,8 @@ linearity identities of the RK4 recursion, and the certified gammas from
 the analysis modules.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -104,6 +106,35 @@ def test_generated_periodic_blocks_always_validate(seed, qa):
     pr = core.PeriodicRange(0.3, 0.5, q=q, alpha=alpha, h_c=h_c)
     seq = sim.gen_sequence(pr, 6.0, seed)
     assert delay.validate_periodic_sequence(seq, pr, h_c).valid
+
+
+def _scalar_draws(lo, hi, horizon, seed, n_modes):
+    """gen_sequence for Range and Minimum as one dwell per call."""
+    rng = np.random.default_rng(seed)
+    dwells, total = [], 0.0
+    while total < horizon:
+        T = float(rng.uniform(lo, hi))
+        dwells.append(T)
+        total += T
+    modes = None if n_modes is None else tuple(int(m) for m in rng.integers(0, n_modes, len(dwells)))
+    return tuple(dwells), modes
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("constraint, lo, hi, n_modes", [
+    (core.Range(0.5, 1.5), 0.5, 1.5, None),
+    (core.Minimum(0.5), 0.5, 1.5, None),
+    (core.Range(0.7, 0.7), 0.7, 0.7, 3),
+    (core.Minimum(1.0), 1.0, 3.0, 2),
+])
+def test_block_draws_equal_one_draw_per_call(constraint, lo, hi, n_modes, seed):
+    """Dwells drawn in blocks are the scalar loop's draws and sums, and
+    leave the generator where the loop does (the modes are drawn after).
+    With tmin = tmax = 0.7, six dwells sum to 4.2 by rounding, where
+    ceil(4.2 / 0.7) is 7: a block must not draw the seventh."""
+    for horizon in (0.1, 4.2, 1e5):
+        seq = sim.gen_sequence(constraint, horizon, seed, n_modes=n_modes)
+        assert (seq.dwells, seq.modes) == _scalar_draws(lo, hi, horizon, seed, n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +258,10 @@ def test_step_halving_converges_at_rk4_order():
 
 def test_step_is_adjusted_and_reported():
     s = scalar_decay()
-    with pytest.warns(UserWarning, match="step adjusted"):
+    with pytest.warns(UserWarning, match="step adjusted") as rec:
         tr = sim.simulate(s, sim.DwellSequence.build([2.0]),
                           horizon=1.5, step=0.3)
+    assert rec[0].filename == __file__  # the warning points at the caller
     assert tr.requested_step == 0.3
     assert tr.step == 0.25  # largest divisor of h_c=1 below 0.3
     # a quarter of the shortest dwell also caps the step
@@ -237,6 +269,14 @@ def test_step_is_adjusted_and_reported():
         tr = sim.simulate(s, sim.DwellSequence.build([0.2, 2.0]),
                           horizon=1.0, step=0.25)
     assert tr.step <= 0.05 + 1e-15
+    zero, flat = (lambda _: np.zeros(1)), (lambda _: np.zeros(2))
+    with pytest.warns(UserWarning, match="step adjusted") as rec:
+        sim.simulate_with_observer(
+            systems.range_observer_plant(), (np.array(systems.RANGE_OBSERVER["L_c"]),
+                                             np.array(systems.RANGE_OBSERVER["L_d"])),
+            sim.DwellSequence.build([0.4] * 4), phi0=flat, phi0_minus=flat, phi0_plus=flat,
+            horizon=1.0, step=0.3, w_c_bounds=(zero, zero), w_d_bounds=(zero, zero))
+    assert rec[0].filename == __file__
 
 
 def test_simulation_error_on_blowup():
@@ -308,6 +348,8 @@ def test_simulation_is_linear_in_the_inputs(c):
 # observer runs and enclosures
 
 
+
+
 def _min_observer_run(L_c, L_d, horizon, seed=2024):
     plant = systems.min_observer_plant()
     seq = sim.gen_sequence(core.Minimum(1.0), horizon, seed)
@@ -324,6 +366,86 @@ def _min_observer_run(L_c, L_d, horizon, seed=2024):
         horizon=horizon, step=0.1,
         w_c_bounds=(lambda t: np.array([-4.0]), lambda t: np.array([4.0])),
         w_d_bounds=(lambda k: np.array([-1.0]), lambda k: np.array([1.0])))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polynomial_step_map_equals_the_rk4_step(seed):
+    rng = np.random.default_rng(seed)
+    n, p = (int(v) for v in rng.integers(1, 5, 2))
+    s = delay.DelaySystem.build(A=rng.normal(size=(n, n)), Gc=rng.normal(size=(n, n)),
+                                Ec=rng.normal(size=(n, p)), h_c=1.0)
+    C = sim._step_poly(s)
+    for h in [*rng.uniform(0.0, 1.0, 8), 1e-3, 1.0]:
+        want = np.hstack(sim._step_map(s, float(rng.uniform(0.0, 5.0)), h))
+        got = np.hstack(sim._poly_map(C, h))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_inputs_are_sampled_once_per_stage_time():
+    """w_c is sampled at 0 and at the midpoint and end of every step, each
+    time once and in increasing order, across the jumps too."""
+    seen = []
+
+    def w_c(t):
+        seen.append(t)
+        return np.array([np.sin(t)])
+
+    tr = sim.simulate(smooth_fixture(), sim.DwellSequence.build([0.7, 0.9, 0.8]),
+                      w_c=w_c, horizon=2.2, step=0.05)
+    assert len(tr.jumps) == 2
+    assert len(seen) == 2 * (len(tr.t) - 1) + 1
+    assert np.all(np.diff(seen) > 0)
+    assert np.allclose(seen[::2], tr.t, rtol=0, atol=1e-15)
+    assert np.allclose(seen[1::2], 0.5 * (tr.t[:-1] + tr.t[1:]), rtol=0, atol=1e-15)
+
+
+def test_every_input_value_is_shape_checked():
+    seq = sim.DwellSequence.build([0.7, 0.9, 0.8])
+    late = lambda t: np.zeros(2) if t > 1.0 else np.zeros(1)
+    with pytest.raises(ValueError, match=r"^w_c returned shape \(2,\), expected \(1,\)$"):
+        sim.simulate(smooth_fixture(), seq, w_c=late, horizon=2.2, step=0.05)
+    with pytest.raises(ValueError, match=r"^phi0 returned shape \(1, 2\), expected \(2,\)$"):
+        sim.simulate(smooth_fixture(), seq, phi0=lambda s: np.ones((1, 2)) if s < 0 else np.ones(2),
+                     horizon=2.2, step=0.05)
+    # a width-1 input may mix floats and one-element arrays
+    mixed = sim.simulate(smooth_fixture(), seq, w_c=lambda t: 0.5 if t < 1.0 else np.array([0.5]),
+                         horizon=2.2, step=0.05)
+    const = sim.simulate(smooth_fixture(), seq, w_c=lambda t: np.array([0.5]),
+                         horizon=2.2, step=0.05)
+    assert np.array_equal(mixed.x, const.x)
+
+
+def _plain_pinned_run():
+    return sim.simulate(systems.range_observer_error(), sim.gen_sequence(RANGE_DT, 20.0, 4),
+                        w_c=lambda t: np.array([np.sin(t)]), horizon=20.0)
+
+
+def _switched_observer_pinned_run():
+    plant = systems.power_control()
+    L = np.array(systems.POWER_CONTROL["L"], dtype=float)
+    return sim.simulate_with_observer(
+        plant, [L, L], sim.gen_sequence(core.Minimum(0.2), 4.0, 7, n_modes=2),
+        w_c=lambda t: np.array([0.3 * np.sin(t), 0.1, -0.2 * np.cos(t)]),
+        phi0=lambda s: np.ones(3), phi0_minus=lambda s: np.zeros(3),
+        phi0_plus=lambda s: 2.0 * np.ones(3), horizon=4.0,
+        w_c_bounds=(lambda t: -0.5 * np.ones(3), lambda t: 0.5 * np.ones(3)))
+
+
+# sha256 prefixes of trace.t.tobytes() as the engine that stepped one
+# chunk at a time, sampling inputs and history per chunk, produced them
+ROW_TIMES = {
+    "plain": ("ce5a9e709c186db1", _plain_pinned_run),
+    "observer": ("cb726cd8dff2530b", lambda: _min_observer_run(np.array(systems.MIN_OBSERVER["L_c"]),
+                                               np.array(systems.MIN_OBSERVER["L_d"]), 30.0)),
+    "switched_observer": ("04017f3be1cbd3eb", _switched_observer_pinned_run),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_TIMES))
+def test_row_times_are_unchanged(name):
+    digest, run = ROW_TIMES[name]
+    tr = run()
+    assert hashlib.sha256(tr.t.tobytes()).hexdigest()[:16] == digest
 
 
 def test_enclosure_holds_on_reference_observer_run():
