@@ -15,7 +15,9 @@ the certified gamma.  Two families are provided:
 
 The gamma found is minimized directly as the LP objective.  The rows are
 column sums over the families zeta, mu_c and mu_d, emitted by
-:class:`posimp.rows.DecayProgram`, the emitter observer synthesis uses too.
+:class:`posimp.rows.DecayProgram` on the timer grid and dwell window it
+derives from the constraint, as for observer synthesis.  A periodic
+constraint certifies as its base family.
 """
 
 from __future__ import annotations
@@ -66,14 +68,15 @@ CertifyResult = Certificate | Infeasible
 class _CertProgram(rows.DecayProgram):
     """Certificate variables and the rows of the certificate variants."""
 
-    def __init__(self, name, sys, nodes, scalings, options, minimum: bool):
-        super().__init__(name, nodes, options.margin, options.eps_min)
+    def __init__(self, name, sys, dt, scalings, options):
+        super().__init__(name, dt, options.n_nodes, options.margin, options.eps_min)
         self.sys = sys
         self.opt = options
         # zeta is free but positive at tau = 0 and, frozen past tbar, at tbar
-        strict = np.full(nodes.size, -np.inf)
-        strict[[0, -1] if minimum else 0] = options.margin
-        self.zeta_idx = rows.add_vars(self.p, "zeta[{}]@n{}", (sys.n, nodes.size), lb=strict)
+        strict = np.full(self.nodes.size, -np.inf)
+        strict[[0, -1] if self.minimum else 0] = options.margin
+        self.zeta_idx = rows.add_vars(self.p, "zeta[{}]@n{}", (sys.n, self.nodes.size),
+                                      lb=strict)
         # scaling families; the continuous one is per node unless constant
         self.mu_c = self.mu_d = None
         if scalings is not None and sys.ncD:
@@ -110,9 +113,9 @@ class _CertProgram(rows.DecayProgram):
         groups.append(("w", w, -F.sum(axis=0)))
         return groups
 
-    def build(self, dt, minimum: bool) -> bool:
-        """Flow rows over the grid; for a minimum dwell time also the rows
-        frozen at tbar; jump rows on the dwell window.  Returns soundness.
+    def build(self) -> bool:
+        """The decay rows of the constraint, see
+        :meth:`~posimp.rows.DecayProgram.decay_rows`.  Returns soundness.
 
         Between jumps:  [zdot;0;0]^T + [z(tau); mu_c(tau); 1]^T
         [A Gc Ec; CcD HcD-I FcD; Cc Hc Fc] <= [0;0;g1]^T.  At jumps:
@@ -120,22 +123,18 @@ class _CertProgram(rows.DecayProgram):
         <= [-eps 1; 0; g1]^T, piecewise-linear in th, so imposing it on the
         grid points covering the dwell window is sound.
         """
-        sys, z = self.sys, self.zeta_idx
-        flow = self._groups(self.mu_c, sys.A, sys.Gc, sys.Ec, sys.Cc, sys.Hc, sys.Fc,
-                            sys.CcD, sys.HcD, sys.FcD)
-        sound = self.flow_rows("flow:", z, flow, sys.flow_degree)
-        if minimum:
-            self.stationarity_rows("stat:", dt.tbar, flow)
-            thetas = [dt.tbar]
-        else:
-            thetas = pwl.window_points(self.nodes, dt.tmin, dt.tmax)
-        self.jump_rows("jump:", thetas, z, self._groups(
-            self.mu_d, sys.J, sys.Gd, sys.Ed, sys.Cd, sys.Hd, sys.Fd, sys.CdD, sys.HdD, sys.FdD))
-        return sound
+        sys = self.sys
+        return self.decay_rows(
+            "", self.zeta_idx,
+            self._groups(self.mu_c, sys.A, sys.Gc, sys.Ec, sys.Cc, sys.Hc, sys.Fc,
+                         sys.CcD, sys.HcD, sys.FcD),
+            self._groups(self.mu_d, sys.J, sys.Gd, sys.Ed, sys.Cd, sys.Hd, sys.Fd,
+                         sys.CdD, sys.HdD, sys.FdD),
+            sys.flow_degree)
 
     # -- outcome -------------------------------------------------------------
-    def finish(self, kind, constraint, sound, restriction=None) -> CertifyResult:
-        x = self.minimize_gamma(kind, constraint, self.opt.feastol)
+    def finish(self, kind, sound) -> CertifyResult:
+        x = self.minimize_gamma(kind, self.opt.feastol)
         if isinstance(x, Infeasible):
             return x
         N = self.nodes.size
@@ -148,26 +147,24 @@ class _CertProgram(rows.DecayProgram):
         if self.mu_d is not None:
             mu_d = x[self.mu_d]
         return Certificate(
-            kind=kind, constraint=constraint, zeta=zeta, mu_c=mu_c, mu_d=mu_d,
+            kind=kind, constraint=self.dt, zeta=zeta, mu_c=mu_c, mu_d=mu_d,
             gamma=float(x[self.gamma]), eps=float(x[self.eps]), sound=sound,
-            program=self.p, assignment=x, restriction=restriction)
+            program=self.p, assignment=x)
 
 
-def _certify(name, kind, sys, dt, scalings, options, minimum: bool) -> CertifyResult:
-    """Certificate program on a grid up to tmax (range) or tbar (minimum)."""
-    options = options or CertifyOptions()
-    nodes = pwl.uniform_nodes(dt.tbar if minimum else dt.tmax, options.n_nodes)
-    prog = _CertProgram(name, sys, nodes, scalings, options, minimum)
-    return prog.finish(kind, dt, prog.build(dt, minimum))
+def _certify(name, kind, sys, dt, scalings, options) -> CertifyResult:
+    """Certificate program on the grid of ``dt``."""
+    prog = _CertProgram(name, sys, dt, scalings, options or CertifyOptions())
+    return prog.finish(kind, prog.build())
 
 
-def _certify_free(name, kind, sys, dt, options, minimum: bool) -> CertifyResult:
+def _certify_free(name, kind, sys, dt, options) -> CertifyResult:
     """Certificate of the system with both uncertainty loops closed at their
     extremal operators, with the implied scalings attached."""
     A, Ec, Cc, Fc = core.worst_case_continuous(sys)
     J, Ed, Cd, Fd = core.worst_case_discrete(sys)
     closed = core.LftPositiveSystem.build(A=A, Ec=Ec, Cc=Cc, Fc=Fc, J=J, Ed=Ed, Cd=Cd, Fd=Fd)
-    return _attach_eliminated(_certify(name, kind, closed, dt, None, options, minimum), sys)
+    return _attach_eliminated(_certify(name, kind, closed, dt, None, options), sys)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +175,9 @@ def certify_range(sys: core.LftPositiveSystem, dt: core.Range,
                   options: CertifyOptions | None = None) -> CertifyResult:
     """Certificate for dwell times ranging over [tmin, tmax], with channel
     scalings of the requested structure."""
+    core.check_family(dt, core.Range)
     return _certify("certify_range", "range", sys, dt,
-                    scalings or core.ScalingStructure.unconstrained(), options, False)
+                    scalings or core.ScalingStructure.unconstrained(), options)
 
 
 def certify_min(sys: core.LftPositiveSystem, dt: core.Minimum,
@@ -188,8 +186,9 @@ def certify_min(sys: core.LftPositiveSystem, dt: core.Minimum,
     """Certificate for dwell times >= tbar.  Certificate data are frozen at
     tbar for larger timer values, matching systems whose matrices are
     constant past tbar."""
+    core.check_family(dt, core.Minimum)
     return _certify("certify_min", "minimum", sys, dt,
-                    scalings or core.ScalingStructure.unconstrained(), options, True)
+                    scalings or core.ScalingStructure.unconstrained(), options)
 
 
 def certify_range_free(sys: core.LftPositiveSystem, dt: core.Range,
@@ -200,13 +199,15 @@ def certify_range_free(sys: core.LftPositiveSystem, dt: core.Range,
     operators; requires the feedthrough loops to be well posed in the
     positive sense.  Never more conservative than any scaling structure.
     """
-    return _certify_free("certify_range_free", "range_free", sys, dt, options, False)
+    core.check_family(dt, core.Range)
+    return _certify_free("certify_range_free", "range_free", sys, dt, options)
 
 
 def certify_min_free(sys: core.LftPositiveSystem, dt: core.Minimum,
                      options: CertifyOptions | None = None) -> CertifyResult:
     """Minimum dwell-time certificate with the scalings eliminated."""
-    return _certify_free("certify_min_free", "minimum_free", sys, dt, options, True)
+    core.check_family(dt, core.Minimum)
+    return _certify_free("certify_min_free", "minimum_free", sys, dt, options)
 
 
 def _attach_eliminated(cert: CertifyResult, sys: core.LftPositiveSystem) -> CertifyResult:

@@ -629,7 +629,7 @@ def _answer(command: str, loaded: LoadedSystem, constraint, free: bool):
                          "switched); certify handles kinds lft and delay")
     if constraint is None:
         raise SchemaError("dwell: required for this command")
-    ranged = isinstance(constraint, (core.Range, core.PeriodicRange))
+    ranged = isinstance(constraint, core.Range)
     if command == "synthesize":
         call = observer.synthesize_switched if kind == "switched" else \
             observer.synthesize_range if ranged else observer.synthesize_min
@@ -918,7 +918,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (sim.SimulationError, core.WellPosednessError, lp.SolverError,
-            OSError, ValueError, TypeError) as e:
+            OSError, ValueError, TypeError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,9 @@ row and column dimensions and whether it may depend on the timer, and the
 container derives its attributes, its dimensions and its flow degree from
 that table.  Delayed systems, observed plants and switched plants
 (``posimp.delay``, ``posimp.observer``) are containers of the same kind.
+
+A dwell-time constraint is a :class:`Range` or a :class:`Minimum`; the
+periodic constraints subclass their family (see :class:`Periodic`).
 """
 
 from __future__ import annotations
@@ -304,55 +307,67 @@ class Minimum:
             raise ValueError("tbar must be positive")
 
 
+class Periodic:
+    """A periodic dwell-time family: dwell times whose q-blocks repeat with
+    total duration period_sum = h_c/alpha.  :class:`PeriodicRange` and
+    :class:`PeriodicMinimum` subclass their base family, since a periodic
+    family admits a subset of its base family's sequences: whatever
+    certifies the base family certifies the periodic one."""
+
+    @property
+    def period_sum(self) -> float:
+        return self.h_c / self.alpha
+
+    def _check_blocks(self) -> None:
+        if self.q < 1 or self.alpha < 1 or self.h_c <= 0:
+            raise ValueError("need q >= 1, alpha >= 1, h_c > 0")
+
+
 @dataclass(frozen=True)
-class PeriodicRange:
+class PeriodicRange(Range, Periodic):
     """Range dwell times whose q-blocks repeat with total duration h_c/alpha."""
-    tmin: float
-    tmax: float
     q: int
     alpha: int
     h_c: float
 
     def __post_init__(self):
         _finite(tmin=self.tmin, tmax=self.tmax, h_c=self.h_c)
-        if not 0 < self.tmin <= self.tmax:
-            raise ValueError("need 0 < tmin <= tmax")
-        if self.q < 1 or self.alpha < 1 or self.h_c <= 0:
-            raise ValueError("need q >= 1, alpha >= 1, h_c > 0")
+        super().__post_init__()
+        self._check_blocks()
         s = self.period_sum
         if not self.q * self.tmin <= s <= self.q * self.tmax:
             raise ValueError(
                 f"no q={self.q} dwell times in [{self.tmin}, {self.tmax}] can sum to {s}")
 
-    @property
-    def period_sum(self) -> float:
-        return self.h_c / self.alpha
-
 
 @dataclass(frozen=True)
-class PeriodicMinimum:
+class PeriodicMinimum(Minimum, Periodic):
     """Minimum dwell times whose q-blocks repeat with total duration h_c/alpha."""
-    tbar: float
     q: int
     alpha: int
     h_c: float
 
     def __post_init__(self):
         _finite(tbar=self.tbar, h_c=self.h_c)
-        if self.tbar <= 0:
-            raise ValueError("tbar must be positive")
-        if self.q < 1 or self.alpha < 1 or self.h_c <= 0:
-            raise ValueError("need q >= 1, alpha >= 1, h_c > 0")
+        super().__post_init__()
+        self._check_blocks()
         if self.q * self.tbar > self.period_sum:
             raise ValueError(
                 f"q={self.q} dwell times of at least {self.tbar} cannot sum to {self.period_sum}")
 
-    @property
-    def period_sum(self) -> float:
-        return self.h_c / self.alpha
+
+DwellTimeConstraint = Range | Minimum
 
 
-DwellTimeConstraint = Range | Minimum | PeriodicRange | PeriodicMinimum
+def check_family(dt, family, h_c: float | None = None) -> None:
+    """Require ``dt`` to be of ``family`` (:class:`Range` or :class:`Minimum`,
+    periodic or not) and, given the delay ``h_c``, a periodic ``dt`` to tie
+    its period to that delay."""
+    if not isinstance(dt, family):
+        raise TypeError(f"expected a {family.__name__} or Periodic{family.__name__} constraint, "
+                        f"got {type(dt).__name__}")
+    if h_c is not None and isinstance(dt, Periodic) and abs(dt.h_c - h_c) > 1e-12 * max(1.0, h_c):
+        raise ValueError(f"constraint ties the period to h_c={dt.h_c} but the system has h_c={h_c}")
 
 
 # ---------------------------------------------------------------------------

@@ -146,33 +146,17 @@ def _check_polynomial(sys: DelaySystem) -> None:
             "observer gain X(tau)^-1 Y_c(tau); its synthesis program certifies that design")
 
 
-def _check_period(sys, dt) -> None:
-    if abs(dt.h_c - sys.h_c) > 1e-12 * max(1.0, sys.h_c):
-        raise ValueError(
-            f"constraint ties the period to h_c={dt.h_c} but the system has h_c={sys.h_c}")
-
-
-def _base_range(sys: DelaySystem, dt) -> core.Range:
-    if isinstance(dt, core.Range):
-        return dt
-    if isinstance(dt, core.PeriodicRange):
-        _check_period(sys, dt)
-        return core.Range(dt.tmin, dt.tmax)
-    raise TypeError(f"expected a Range or PeriodicRange constraint, got {type(dt).__name__}")
-
-
-def _base_minimum(sys: DelaySystem, dt) -> core.Minimum:
-    if isinstance(dt, core.Minimum):
-        return dt
-    if isinstance(dt, core.PeriodicMinimum):
-        _check_period(sys, dt)
-        return core.Minimum(dt.tbar)
-    raise TypeError(f"expected a Minimum or PeriodicMinimum constraint, got {type(dt).__name__}")
-
-
-def _finish_delay(res, dt, kind, periodic, sys):
-    res.kind = kind
-    res.constraint = dt
+def _certify_delay(sys: DelaySystem, dt, scalings, options, family) -> certify.CertifyResult:
+    scalings = check_scalings(scalings)
+    _check_polynomial(sys)
+    core.check_family(dt, family, sys.h_c)
+    periodic = scalings == UNCONSTRAINED_PERIODIC
+    call = certify.certify_range if family is core.Range else certify.certify_min
+    if periodic:
+        res = call(zero_delay_system(sys), dt, core.ScalingStructure.unconstrained(), options)
+    else:
+        res = call(_reduced_lft(sys), dt, core.ScalingStructure.constant(), options)
+    res.kind = f"delay_{res.kind}_periodic" if periodic else f"delay_{res.kind}"
     if isinstance(res, certify.Certificate):
         if periodic:
             res.restriction = _PERIODIC_RESTRICTION
@@ -193,34 +177,17 @@ def certify_delay_range(sys: DelaySystem, dt,
     ``UNCONSTRAINED_PERIODIC`` scalings it holds only along eventually
     periodic dwell sequences compatible with h_c (the result carries a
     ``restriction`` note) and equals the delay-free certificate of the
-    zero-delay folded system.
+    zero-delay folded system.  A periodic constraint must tie its period
+    to the h_c of the system.
     """
-    scalings = check_scalings(scalings)
-    _check_polynomial(sys)
-    base = _base_range(sys, dt)
-    if scalings == CONSTANT:
-        res = certify.certify_range(_reduced_lft(sys), base,
-                                    core.ScalingStructure.constant(), options)
-        return _finish_delay(res, dt, "delay_range", False, sys)
-    res = certify.certify_range(zero_delay_system(sys), base,
-                                core.ScalingStructure.unconstrained(), options)
-    return _finish_delay(res, dt, "delay_range_periodic", True, sys)
+    return _certify_delay(sys, dt, scalings, options, core.Range)
 
 
 def certify_delay_min(sys: DelaySystem, dt,
                       scalings: str = CONSTANT,
                       options: certify.CertifyOptions | None = None) -> certify.CertifyResult:
     """Minimum dwell-time analog of :func:`certify_delay_range`."""
-    scalings = check_scalings(scalings)
-    _check_polynomial(sys)
-    base = _base_minimum(sys, dt)
-    if scalings == CONSTANT:
-        res = certify.certify_min(_reduced_lft(sys), base,
-                                  core.ScalingStructure.constant(), options)
-        return _finish_delay(res, dt, "delay_minimum", False, sys)
-    res = certify.certify_min(zero_delay_system(sys), base,
-                              core.ScalingStructure.unconstrained(), options)
-    return _finish_delay(res, dt, "delay_minimum_periodic", True, sys)
+    return _certify_delay(sys, dt, scalings, options, core.Minimum)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +249,9 @@ def validate_periodic_sequence(seq, constraint, h_c: float) -> PeriodicValidatio
     if any(b <= 0 for b in dwells):
         return PeriodicValidation(False, reason="dwell times must be positive")
 
-    if isinstance(constraint, (core.Range, core.PeriodicRange)):
+    if isinstance(constraint, core.Range):
         lo, hi = constraint.tmin, constraint.tmax
-    elif isinstance(constraint, (core.Minimum, core.PeriodicMinimum)):
+    elif isinstance(constraint, core.Minimum):
         lo, hi = constraint.tbar, np.inf
     else:
         raise TypeError(f"unsupported constraint {type(constraint).__name__}")
@@ -301,7 +268,7 @@ def validate_periodic_sequence(seq, constraint, h_c: float) -> PeriodicValidatio
         problems.append(
             f"period sum {s:.6g} does not divide h_c={h_c:.6g} "
             f"(h_c/sum = {alpha:.6g} is not a positive integer)")
-    if isinstance(constraint, (core.PeriodicRange, core.PeriodicMinimum)):
+    if isinstance(constraint, core.Periodic):
         if abs(constraint.h_c - h_c) > 1e-12 * max(1.0, h_c):
             problems.append(
                 f"constraint ties the period to h_c={constraint.h_c} but h_c={h_c} was given")

@@ -18,8 +18,9 @@ so gain synthesis is again a linear program:
   certificate modules, written on the closed error system under the
   substitution zeta^T = 1^T X, with the continuous channel multiplier
   mu_c = diag(U) as an extra variable.  They come from the emitter the
-  certificates use, :class:`posimp.rows.DecayProgram`, with Y as one
-  more variable family (analysis is synthesis with Y = 0);
+  certificates use, :class:`posimp.rows.DecayProgram`, on the timer grid
+  and dwell window it derives from the constraint, with Y as one more
+  variable family (analysis is synthesis with Y = 0);
 * the gain bound gamma on the map from disturbance widths to the
   weighted errors M_c e / M_d e is the LP objective.
 
@@ -276,11 +277,9 @@ class Synthesis(rows.DecayProgram):
     minimizes gamma and recovers the gains.
     """
 
-    def __init__(self, name, kind, constraint, scalings, nodes, options,
-                 switched: bool):
-        super().__init__(name, nodes, options.margin, options.eps_min)
+    def __init__(self, name, kind, dt, scalings, options, switched: bool):
+        super().__init__(name, dt, options.n_nodes, options.margin, options.eps_min)
         self.kind = kind
-        self.constraint = constraint
         self.scalings = scalings
         self.opt = options
         self._switched = switched
@@ -343,7 +342,7 @@ class Synthesis(rows.DecayProgram):
         delayed-state columns X Gc - Y_c H_y - U <= 0 and the disturbance
         columns X Ec - Y_c F_y <= gamma 1^T.  ``folded`` merges the
         delayed state into the instantaneous one and drops U.  The
-        stationarity rows at tbar take the same groups."""
+        stationarity rows of a minimum dwell time take the same groups."""
         n, x = blk.n, blk.x_idx
         if folded:
             state = [(x, lambda t: A(t) + Gc(t)), blk.y_terms(C_y + H_y)]
@@ -379,7 +378,7 @@ class Synthesis(rows.DecayProgram):
     def solve(self):
         """Minimize gamma; returns ObserverGains (a list for switched
         plants, one per mode) or Infeasible with named conditions."""
-        x = self.minimize_gamma(self.kind, self.constraint, self.opt.feastol)
+        x = self.minimize_gamma(self.kind, self.opt.feastol)
         if isinstance(x, Infeasible):
             return x
         results = []
@@ -390,7 +389,7 @@ class Synthesis(rows.DecayProgram):
             L_c, L_d = recover_gains(X, Y_c, Y_d, x_min=self.opt.x_min)
             U = None if self.u_idx is None else x[self.u_idx]
             results.append(ObserverGains(
-                kind=self.kind, constraint=self.constraint, scalings=self.scalings,
+                kind=self.kind, constraint=self.dt, scalings=self.scalings,
                 X=X, Y_c=Y_c, Y_d=Y_d, L_c=L_c, L_d=L_d, U=U,
                 alpha=float(x[self.alpha]), eps=float(x[self.eps]),
                 gamma=float(x[self.gamma]), sound=self.sound,
@@ -402,16 +401,12 @@ class Synthesis(rows.DecayProgram):
 # ---------------------------------------------------------------------------
 # public builders
 
-def _plant_synthesis(plant: ObservedPlant, dt, scalings, options, minimum: bool) -> Synthesis:
+def _plant_synthesis(name, kind, family, plant: ObservedPlant, dt, scalings, options) -> Synthesis:
     scalings = delay.check_scalings(scalings, "observer synthesis admits")
-    options = options or SynthesisOptions()
-    base = delay._base_minimum(plant, dt) if minimum else delay._base_range(plant, dt)
+    core.check_family(dt, family, plant.h_c)
     periodic = scalings == UNCONSTRAINED_PERIODIC
-    nodes = pwl.uniform_nodes(base.tbar if minimum else base.tmax, options.n_nodes)
-    name, kind = ("synthesize_min", "observer_minimum") if minimum \
-        else ("synthesize_range", "observer_range")
     syn = Synthesis(name, kind + "_periodic" if periodic else kind,
-                    dt, scalings, nodes, options, switched=False)
+                    dt, scalings, options or SynthesisOptions(), switched=False)
     blk = syn.add_block(plant.n, plant.qc)
     blk.add_discrete(syn.p, plant.qd)
     if not periodic:
@@ -422,15 +417,9 @@ def _plant_synthesis(plant: ObservedPlant, dt, scalings, options, minimum: bool)
                               ("Ed", plant.Ed, plant.F_yd)], flow=False)
     flow = syn.flow_groups(blk, plant.A, plant.Gc, plant.Ec, plant.C_yc, plant.H_yc,
                            plant.F_yc, plant.M_c.sum(axis=0), folded=periodic)
-    syn.sound = syn.flow_rows("flow:", blk.x_idx, flow, plant.flow_degree) and syn.sound
-    if minimum:
-        syn.stationarity_rows("stat:", base.tbar, flow)
-        thetas = [base.tbar]
-    else:
-        thetas = pwl.window_points(nodes, base.tmin, base.tmax)
-    syn.jump_rows("jump:", thetas, blk.x_idx, syn.jump_groups(
-        blk, plant.J, plant.Gd, plant.Ed, plant.C_yd, plant.H_yd, plant.F_yd,
-        plant.M_d.sum(axis=0)))
+    jump = syn.jump_groups(blk, plant.J, plant.Gd, plant.Ed, plant.C_yd, plant.H_yd, plant.F_yd,
+                           plant.M_d.sum(axis=0))
+    syn.sound = syn.decay_rows("", blk.x_idx, flow, jump, plant.flow_degree) and syn.sound
     if periodic:
         syn.restriction = delay._PERIODIC_RESTRICTION
     return syn
@@ -439,14 +428,16 @@ def _plant_synthesis(plant: ObservedPlant, dt, scalings, options, minimum: bool)
 def range_synthesis(plant: ObservedPlant, dt, scalings: str = CONSTANT,
                     options: SynthesisOptions | None = None) -> Synthesis:
     """Unsolved gain-synthesis program for dwell times in [tmin, tmax]."""
-    return _plant_synthesis(plant, dt, scalings, options, minimum=False)
+    return _plant_synthesis("synthesize_range", "observer_range", core.Range,
+                            plant, dt, scalings, options)
 
 
 def min_synthesis(plant: ObservedPlant, dt, scalings: str = CONSTANT,
                   options: SynthesisOptions | None = None) -> Synthesis:
     """Unsolved gain-synthesis program for dwell times >= tbar; storage
     and gains freeze at tbar for larger timer values."""
-    return _plant_synthesis(plant, dt, scalings, options, minimum=True)
+    return _plant_synthesis("synthesize_min", "observer_minimum", core.Minimum,
+                            plant, dt, scalings, options)
 
 
 def switched_synthesis(plant: SwitchedPlant, dt, scalings: str = CONSTANT,
@@ -454,15 +445,13 @@ def switched_synthesis(plant: SwitchedPlant, dt, scalings: str = CONSTANT,
     """Unsolved per-mode gain-synthesis program under a minimum dwell
     time between switches."""
     scalings = delay.check_scalings(scalings, "observer synthesis admits")
-    options = options or SynthesisOptions()
     if plant.n_modes < 2:
         raise ValueError("switched synthesis needs at least two modes")
-    base = delay._base_minimum(plant, dt)
+    core.check_family(dt, core.Minimum, plant.h_c)
     periodic = scalings == UNCONSTRAINED_PERIODIC
-    nodes = pwl.uniform_nodes(base.tbar, options.n_nodes)
     syn = Synthesis("synthesize_switched",
                     "observer_switched_periodic" if periodic else "observer_switched",
-                    dt, scalings, nodes, options, switched=True)
+                    dt, scalings, options or SynthesisOptions(), switched=True)
     if not periodic:
         syn.add_channel_multiplier(plant.n)
     sumM = plant.M.sum(axis=0)
@@ -472,9 +461,8 @@ def switched_synthesis(plant: SwitchedPlant, dt, scalings: str = CONSTANT,
         C, H, F = plant.C_y[mi], plant.H_y[mi], plant.F_y[mi]
         syn.positivity_rows(blk, [("A", A, C), ("Gc", Gc, H), ("Ec", Ec, F)], flow=True)
         flow = syn.flow_groups(blk, A, Gc, Ec, C, H, F, sumM, folded=periodic)
-        syn.sound = syn.flow_rows(blk.tag + "flow:", blk.x_idx, flow,
-                                  plant.flow_degree(mi)) and syn.sound
-        syn.stationarity_rows(blk.tag + "stat:", base.tbar, flow)
+        syn.sound = syn.decay_rows(blk.tag, blk.x_idx, flow, None,
+                                   plant.flow_degree(mi)) and syn.sound
     syn.coupling_rows()
     if periodic:
         syn.restriction = _PERIODIC_RESTRICTION_SWITCHED

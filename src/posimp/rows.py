@@ -11,9 +11,10 @@ a row group.  ``coef`` is a matrix or a callable of the timer (a
 one number, or one number per column.  An optional third entry replaces
 the interpolation weights of a node-valued family.
 
-:class:`DecayProgram` emits the flow, stationarity and jump decay rows of
-every certificate and synthesis program; :func:`emit` adds the rows of any
-block in one ``add_rows`` call, one numpy product per term.
+:class:`DecayProgram` turns a dwell-time constraint into the timer grid
+and the flow, stationarity and jump decay rows of every certificate and
+synthesis program; :func:`emit` adds the rows of any block in one
+``add_rows`` call, one numpy product per term.
 """
 
 from __future__ import annotations
@@ -104,52 +105,60 @@ class Infeasible:
 
 
 class DecayProgram:
-    """A program over a timer grid with the gain bound gamma and the
-    contraction eps, and the decay rows all certificates share.
+    """A program over the timer grid of a dwell-time constraint, with the
+    gain bound gamma, the contraction eps and the decay rows all
+    certificates share.
 
-    Row groups are (name, terms, rhs), one column per rhs entry.  The first
-    group holds the state columns; each kind of row adds its own terms of
-    the node-valued ``state`` family there: the timer derivative on flow
-    rows, eps on stationarity rows, eps - state(theta) on jump rows.  Terms
-    are taken at the sample timer on flow and stationarity rows and at
-    tau = 0 on jump rows.
+    The constraint ``dt`` decides the grid and the rows once: nodes on
+    [0, tmax] for a :class:`~posimp.core.Range`, on [0, tbar] for a
+    :class:`~posimp.core.Minimum` (periodic or not).  Row groups are
+    (name, terms, rhs), one column per rhs entry.  The first group holds
+    the state columns; each kind of row adds its own terms of the
+    node-valued ``state`` family there: the timer derivative on flow rows,
+    eps on stationarity rows, eps - state(theta) on jump rows.  Terms are
+    taken at the sample timer on flow and stationarity rows and at tau = 0
+    on jump rows.
     """
 
-    def __init__(self, name: str, nodes: np.ndarray, margin: float, eps_min: float):
+    def __init__(self, name: str, dt, n_nodes: int, margin: float, eps_min: float):
         self.p = lp.LinearProgram(name)
-        self.nodes = nodes
+        self.dt = dt
+        self.minimum = isinstance(dt, core.Minimum)
+        self.nodes = pwl.uniform_nodes(dt.tbar if self.minimum else dt.tmax, n_nodes)
         self.gamma = self.p.add_var("gamma", lb=margin)
         self.eps = self.p.add_var("eps", lb=eps_min)
 
-    def flow_rows(self, prefix: str, state, groups, degree: int) -> bool:
-        """Rows at every sample of the flow plan; True when that is sound."""
+    def decay_rows(self, tag: str, state, flow, jump, degree: int) -> bool:
+        """The flow rows of the ``flow`` groups; for a minimum dwell time the
+        same rows frozen at tau = tbar, with eps in place of the derivative;
+        then, unless ``jump`` is None, the jump rows at every dwell value
+        theta: tbar, or the grid points covering [tmin, tmax].  Row names
+        start with ``tag``.  Returns True when the flow rows are sound."""
         plan = pwl.flow_sample_plan(self.nodes, degree)
         samples = [(seg.segment, i, t) for seg in plan for i, t in enumerate(seg.taus)]
         s, k = np.arange(len(samples)), np.array([k for k, _, _ in samples])
         deriv = np.zeros((s.size, self.nodes.size))
         h = np.diff(self.nodes)[k]
         deriv[s, k], deriv[s, k + 1] = -1.0 / h, 1.0 / h
-        self._rows(prefix, [f"@s{k}.{i}" for k, i, _ in samples], [t for _, _, t in samples],
-                   groups, [(state, np.eye(len(state)), deriv)])
+        self._rows(tag + "flow:", [f"@s{k}.{i}" for k, i, _ in samples],
+                   [t for _, _, t in samples], flow, [(state, np.eye(len(state)), deriv)])
+        if self.minimum:
+            self._rows(tag + "stat:", [""], [self.dt.tbar], flow, [(self.eps, 1.0)])
+        if jump is not None:
+            thetas = [self.dt.tbar] if self.minimum else \
+                pwl.window_points(self.nodes, self.dt.tmin, self.dt.tmax)
+            theta = (state, -np.eye(len(state)), pwl.hat_matrix(self.nodes, thetas))
+            self._rows(tag + "jump:", [f"@{fmt(t)}" for t in thetas], [0.0] * len(thetas), jump,
+                       [(self.eps, 1.0), theta])
         return all(seg.sound for seg in plan)
 
-    def stationarity_rows(self, prefix: str, tbar: float, groups) -> None:
-        """Rows frozen at tau = tbar, with eps in place of the derivative."""
-        self._rows(prefix, [""], [tbar], groups, [(self.eps, 1.0)])
-
-    def jump_rows(self, prefix: str, thetas, state, groups) -> None:
-        """Rows at every dwell value theta."""
-        theta = (state, -np.eye(len(state)), pwl.hat_matrix(self.nodes, thetas))
-        self._rows(prefix, [f"@{fmt(t)}" for t in thetas], [0.0] * len(thetas), groups,
-                   [(self.eps, 1.0), theta])
-
-    def minimize_gamma(self, kind: str, constraint, feastol: float):
+    def minimize_gamma(self, kind: str, feastol: float):
         """Minimize gamma: the optimal point, or :class:`Infeasible` naming
         the conflicting rows."""
         self.p.set_objective({self.gamma: 1.0})
         out = lp.solve(self.p, feastol=feastol)
         if out.status == "infeasible":
-            return Infeasible(kind, constraint, out.rows_used, out.margin)
+            return Infeasible(kind, self.dt, out.rows_used, out.margin)
         if out.status != "optimal":  # pragma: no cover - gamma is bounded below
             raise lp.SolverError(f"unexpected solver status {out.status}")
         return out.x

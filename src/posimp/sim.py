@@ -144,38 +144,30 @@ def gen_sequence(constraint, horizon: float, seed: int, *,
 
     if isinstance(constraint, core.Range):
         lo, hi = constraint.tmin, constraint.tmax
+    elif isinstance(constraint, core.PeriodicMinimum):
+        lo, hi = constraint.tbar, np.inf
+    elif isinstance(constraint, core.Minimum):
+        lo, hi = constraint.tbar, 3.0 * constraint.tbar
+    else:
+        raise TypeError(
+            f"unsupported dwell-time constraint {type(constraint).__name__}")
+    if not isinstance(constraint, core.Periodic):
         dwells = _draw_until(rng, lo, hi, horizon)
-        modes = None if n_modes is None else rng.integers(0, n_modes,
-                                                          len(dwells))
+        modes = None if n_modes is None else rng.integers(0, n_modes, len(dwells))
         return DwellSequence.build(dwells, modes)
 
-    if isinstance(constraint, core.Minimum):
-        lo = constraint.tbar
-        dwells = _draw_until(rng, lo, 3.0 * lo, horizon)
-        modes = None if n_modes is None else rng.integers(0, n_modes,
-                                                          len(dwells))
-        return DwellSequence.build(dwells, modes)
-
-    if isinstance(constraint, (core.PeriodicRange, core.PeriodicMinimum)):
-        if isinstance(constraint, core.PeriodicRange):
-            lo, hi = constraint.tmin, constraint.tmax
-        else:
-            lo, hi = constraint.tbar, np.inf
-        q, target = constraint.q, constraint.period_sum
-        if q * lo > target * (1 + 1e-12) or q * min(hi, target) < target:
-            raise ValueError(
-                f"no q={q} dwell times in [{lo:.6g}, {hi:.6g}] can sum to "
-                f"{target:.6g}")
-        beta = _draw_block(rng, q, lo, hi, target)
-        reps = int(math.ceil(horizon / target))
-        dwells = np.tile(beta, reps)
-        modes = None
-        if n_modes is not None:
-            modes = np.tile(rng.integers(0, n_modes, q), reps)
-        return DwellSequence.build(dwells, modes, repeats=True)
-
-    raise TypeError(
-        f"unsupported dwell-time constraint {type(constraint).__name__}")
+    q, target = constraint.q, constraint.period_sum
+    if q * lo > target * (1 + 1e-12) or q * min(hi, target) < target:
+        raise ValueError(
+            f"no q={q} dwell times in [{lo:.6g}, {hi:.6g}] can sum to "
+            f"{target:.6g}")
+    beta = _draw_block(rng, q, lo, hi, target)
+    reps = int(math.ceil(horizon / target))
+    dwells = np.tile(beta, reps)
+    modes = None
+    if n_modes is not None:
+        modes = np.tile(rng.integers(0, n_modes, q), reps)
+    return DwellSequence.build(dwells, modes, repeats=True)
 
 
 def _check_horizon(horizon) -> None:
@@ -689,11 +681,10 @@ def empirical_gain(sys, constraint, *, n_trials: int = 64, seed: int = 0,
     base = sys[0] if moded else sys
     if isinstance(constraint, core.Range):
         lo, hi = constraint.tmin, constraint.tmax
+    elif isinstance(constraint, core.PeriodicMinimum):
+        lo, hi = constraint.tbar, constraint.period_sum
     elif isinstance(constraint, core.Minimum):
         lo, hi = constraint.tbar, 3.0 * constraint.tbar
-    elif isinstance(constraint, (core.PeriodicRange, core.PeriodicMinimum)):
-        lo = getattr(constraint, "tmin", getattr(constraint, "tbar", 1.0))
-        hi = getattr(constraint, "tmax", constraint.period_sum)
     else:
         raise TypeError(
             f"unsupported dwell-time constraint {type(constraint).__name__}")

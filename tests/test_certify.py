@@ -319,6 +319,25 @@ def test_options_validation():
         CertifyOptions(eps_min=-1.0)
 
 
+@pytest.mark.parametrize("call, family, periodic", [
+    (certify.certify_range, "Range", core.PeriodicRange(1.5, 2.0, q=2, alpha=1, h_c=3.5)),
+    (certify.certify_range_free, "Range", core.PeriodicRange(1.5, 2.0, q=2, alpha=1, h_c=3.5)),
+    (certify.certify_min, "Minimum", core.PeriodicMinimum(2.0, q=1, alpha=1, h_c=2.0)),
+    (certify.certify_min_free, "Minimum", core.PeriodicMinimum(2.0, q=1, alpha=1, h_c=2.0)),
+])
+def test_constraint_family_is_checked(call, family, periodic):
+    """A wrong family is a TypeError; the periodic subfamily certifies as
+    its base family and the result records the constraint given."""
+    sys = uncertain_impulsive()
+    wrong = core.Minimum(2.0) if family == "Range" else core.Range(1.5, 2.0)
+    with pytest.raises(TypeError, match=f"expected a {family} or Periodic{family}"):
+        call(sys, wrong)
+    res = call(sys, periodic)
+    assert isinstance(res, Certificate) and res.constraint is periodic
+    base = core.Range(1.5, 2.0) if family == "Range" else core.Minimum(2.0)
+    assert res.gamma == call(sys, base).gamma
+
+
 # ---------------------------------------------------------------------------
 # homogeneity properties of the optimum
 

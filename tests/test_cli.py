@@ -139,6 +139,18 @@ def test_simulate_rejects_an_infinite_horizon(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate the dwell sequence")
+
+    monkeypatch.setattr(sim, "gen_sequence", exhausted)
+    csv = tmp_path / "trace.csv"
+    assert cli.main(["simulate", _fixture("stable_toy"), "--seq", "gen:1",
+                     "--horizon", "1e9", "--out", str(csv)]) == 1
+    assert capsys.readouterr().err == "error: cannot allocate the dwell sequence\n"
+    assert not csv.exists()
+
+
 @pytest.fixture
 def synthesized(tmp_path):
     """The synthesize result document of range_observer_plant, and the

@@ -7,10 +7,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from systems import min_observer_plant, power_control, range_observer_plant, \
-    stable_toy, uncertain_impulsive
+from systems import MIN_OBSERVER, RANGE_OBSERVER, min_observer_plant, power_control, \
+    range_observer_plant, stable_toy, uncertain_impulsive
 from test_lp import _stored_rows
-from posimp import certify, core, lp, observer, rows
+from posimp import certify, core, delay, lp, observer, rows
 
 
 def _loop_rows(p, prefix, suffixes, groups, rel):
@@ -70,6 +70,10 @@ def _timer_system():
     return core.LftPositiveSystem.build(A=A, J=[[0.9]], Ec=[[1.0]], Cc=[[1.0]])
 
 
+def _error(plant, data):
+    return observer.error_system(plant, data["L_c"], data["L_d"])
+
+
 CERT = certify.CertifyOptions(n_nodes=7)
 SYN = observer.SynthesisOptions(n_nodes=5)
 
@@ -96,6 +100,13 @@ DUMPS = {
         gain_box=(0.0, np.inf))),
     "switched_synthesis_box": ("0913f57dbfbf6343", lambda: observer.synthesize_switched(
         power_control(), core.Minimum(0.2), observer.CONSTANT, SYN, gain_box=(-1.0, 2.0))),
+    # delay certificates of the closed observer errors under their reference gains
+    "delay_range_constant": ("7980595d1f039413", lambda: delay.certify_delay_range(
+        _error(range_observer_plant(), RANGE_OBSERVER), core.Range(0.3, 0.5), delay.CONSTANT,
+        CERT)),
+    "delay_min_periodic": ("66ac9864abcbae41", lambda: delay.certify_delay_min(
+        _error(min_observer_plant(), MIN_OBSERVER),
+        core.PeriodicMinimum(5.0, q=1, alpha=1, h_c=5.0), delay.UNCONSTRAINED_PERIODIC, CERT)),
 }
 
 

@@ -620,3 +620,14 @@ def test_empirical_gain_is_below_certified_gamma():
                                          delay.CONSTANT)
     gt = sim.empirical_gain(toyd, core.Range(0.5, 1.5), n_trials=64, seed=0)
     assert 0.0 < gt <= cert_toy.gamma + 1e-6
+
+
+@pytest.mark.parametrize("error, dt, pinned", [
+    (systems.range_observer_error, core.PeriodicRange(0.3, 0.5, q=5, alpha=1, h_c=2.0),
+     0.6712709287244109),
+    # dwell window [tbar, period_sum]
+    (systems.min_observer_error, core.PeriodicMinimum(1.0, q=2, alpha=1, h_c=5.0),
+     0.7358964250701311),
+])
+def test_empirical_gain_under_periodic_constraints_is_pinned(error, dt, pinned):
+    assert sim.empirical_gain(error(), dt, n_trials=3, seed=1) == pytest.approx(pinned, rel=1e-9)
