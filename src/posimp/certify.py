@@ -15,17 +15,19 @@ the certified gamma.  Two families are provided:
 
 The gamma found is minimized directly as the LP objective.  The rows are
 column sums over the families zeta, mu_c and mu_d, emitted by
-:class:`posimp.rows.DecayProgram` on the timer grid and dwell window it
-derives from the constraint, as for observer synthesis.  A periodic
-constraint certifies as its base family.
+:class:`posimp.rows.DecayProgram` on the timer grid, flow sample plan and
+dwell window it derives from the constraint, as for observer synthesis;
+it also decides soundness and fills the fields a :class:`Certificate`
+shares with every :class:`posimp.rows.Answer`.  A periodic constraint
+certifies as its base family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
-from . import core, lp, pwl, rows
+from . import core, pwl, rows
 from .rows import Infeasible
 
 
@@ -44,33 +46,30 @@ class CertifyOptions:
 
 
 @dataclass
-class Certificate:
-    kind: str                          # range | minimum | range_free | minimum_free
-                                       # (delay/observer builders substitute their own tags)
-    constraint: core.DwellTimeConstraint
-    zeta: pwl.PwlVector
-    mu_c: pwl.PwlVector | None
+class Certificate(rows.Answer):
+    """Co-positive certificate data; ``kind`` is range | minimum |
+    range_free | minimum_free (the delay builders substitute their own)."""
+    zeta: pwl.PwlArray
+    mu_c: pwl.PwlArray | None
     mu_d: np.ndarray | None
-    gamma: float
-    eps: float
-    sound: bool                        # False when rows were only sampled
-    program: lp.LinearProgram = field(repr=False)
-    assignment: np.ndarray = field(repr=False)
-    restriction: str | None = None     # extra admissibility restriction, if any
-
-    def reverify(self, feastol: float = 1e-8) -> list[lp.Violation]:
-        return lp.verify(self.program, self.assignment, feastol)
 
 
 CertifyResult = Certificate | Infeasible
 
 
 class _CertProgram(rows.DecayProgram):
-    """Certificate variables and the rows of the certificate variants."""
+    """Certificate variables and the decay rows of the constraint, see
+    :meth:`~posimp.rows.DecayProgram.decay_rows`.
+
+    Between jumps:  [zdot;0;0]^T + [z(tau); mu_c(tau); 1]^T
+    [A Gc Ec; CcD HcD-I FcD; Cc Hc Fc] <= [0;0;g1]^T.  At jumps:
+    [-z(th);0;0]^T + [z(0); mu_d; 1]^T [J Gd Ed; CdD HdD-I FdD; Cd Hd Fd]
+    <= [-eps 1; 0; g1]^T, piecewise-linear in th, so imposing it on the
+    grid points covering the dwell window is sound.
+    """
 
     def __init__(self, name, sys, dt, scalings, options):
         super().__init__(name, dt, options.n_nodes, options.margin, options.eps_min)
-        self.sys = sys
         self.opt = options
         # zeta is free but positive at tau = 0 and, frozen past tbar, at tbar
         strict = np.full(self.nodes.size, -np.inf)
@@ -84,6 +83,13 @@ class _CertProgram(rows.DecayProgram):
             self.mu_c = self._scaling(kc, sys.ncD, "mu_c", kc != "constant")
         if scalings is not None and sys.ndD:
             self.mu_d = self._scaling(scalings.discrete, sys.ndD, "mu_d", False)
+        self.decay_rows(
+            "", self.zeta_idx,
+            self._groups(self.mu_c, sys.A, sys.Gc, sys.Ec, sys.Cc, sys.Hc, sys.Fc,
+                         sys.CcD, sys.HcD, sys.FcD),
+            self._groups(self.mu_d, sys.J, sys.Gd, sys.Ed, sys.Cd, sys.Hd, sys.Fd,
+                         sys.CdD, sys.HdD, sys.FdD),
+            self.flow_plan(sys.flow_degree))
 
     def _scaling(self, kind, size: int, name: str, per_node: bool) -> np.ndarray:
         """Positive scaling variables of one channel, one per entry or, for
@@ -113,49 +119,25 @@ class _CertProgram(rows.DecayProgram):
         groups.append(("w", w, -F.sum(axis=0)))
         return groups
 
-    def build(self) -> bool:
-        """The decay rows of the constraint, see
-        :meth:`~posimp.rows.DecayProgram.decay_rows`.  Returns soundness.
-
-        Between jumps:  [zdot;0;0]^T + [z(tau); mu_c(tau); 1]^T
-        [A Gc Ec; CcD HcD-I FcD; Cc Hc Fc] <= [0;0;g1]^T.  At jumps:
-        [-z(th);0;0]^T + [z(0); mu_d; 1]^T [J Gd Ed; CdD HdD-I FdD; Cd Hd Fd]
-        <= [-eps 1; 0; g1]^T, piecewise-linear in th, so imposing it on the
-        grid points covering the dwell window is sound.
-        """
-        sys = self.sys
-        return self.decay_rows(
-            "", self.zeta_idx,
-            self._groups(self.mu_c, sys.A, sys.Gc, sys.Ec, sys.Cc, sys.Hc, sys.Fc,
-                         sys.CcD, sys.HcD, sys.FcD),
-            self._groups(self.mu_d, sys.J, sys.Gd, sys.Ed, sys.Cd, sys.Hd, sys.Fd,
-                         sys.CdD, sys.HdD, sys.FdD),
-            sys.flow_degree)
-
     # -- outcome -------------------------------------------------------------
-    def finish(self, kind, sound) -> CertifyResult:
-        x = self.minimize_gamma(kind, self.opt.feastol)
-        if isinstance(x, Infeasible):
-            return x
-        N = self.nodes.size
-        zeta = pwl.PwlVector(self.nodes, x[self.zeta_idx])
-        mu_c = mu_d = None
-        if self.mu_c is not None:
+    def finish(self, kind) -> CertifyResult:
+        shared = self.minimize_gamma(kind, self.opt.feastol)
+        if isinstance(shared, Infeasible):
+            return shared
+        x, N = shared["assignment"], self.nodes.size
+        zeta = pwl.PwlArray(self.nodes, x[self.zeta_idx])
+        mu_c = None
+        if self.mu_c is not None:  # a constant scaling holds at every node
             vals = x[self.mu_c]
-            mu_c = pwl.PwlVector(self.nodes, vals if vals.ndim == 2
-                                 else np.repeat(vals[:, None], N, axis=1))
-        if self.mu_d is not None:
-            mu_d = x[self.mu_d]
-        return Certificate(
-            kind=kind, constraint=self.dt, zeta=zeta, mu_c=mu_c, mu_d=mu_d,
-            gamma=float(x[self.gamma]), eps=float(x[self.eps]), sound=sound,
-            program=self.p, assignment=x)
+            mu_c = pwl.PwlArray(self.nodes, vals if vals.ndim == 2
+                                else np.repeat(vals[:, None], N, axis=1))
+        mu_d = None if self.mu_d is None else x[self.mu_d]
+        return Certificate(zeta=zeta, mu_c=mu_c, mu_d=mu_d, **shared)
 
 
 def _certify(name, kind, sys, dt, scalings, options) -> CertifyResult:
     """Certificate program on the grid of ``dt``."""
-    prog = _CertProgram(name, sys, dt, scalings, options or CertifyOptions())
-    return prog.finish(kind, prog.build())
+    return _CertProgram(name, sys, dt, scalings, options or CertifyOptions()).finish(kind)
 
 
 def _certify_free(name, kind, sys, dt, options) -> CertifyResult:
@@ -218,9 +200,12 @@ def _attach_eliminated(cert: CertifyResult, sys: core.LftPositiveSystem) -> Cert
     if sys.ncD:
         K = np.linalg.solve(np.eye(sys.ncD) - sys.HcD, np.eye(sys.ncD))
         vals = np.zeros((sys.ncD, cert.zeta.nodes.size))
+        # zeta at each node without one eval per node: a contiguous row, as
+        # eval gives it (the product of a strided one can round differently)
+        Z = np.ascontiguousarray(cert.zeta.values.T)
         for k, tau in enumerate(cert.zeta.nodes):
-            vals[:, k] = (cert.zeta.eval(tau) @ sys.Gc.eval(tau) + sys.Hc.sum(axis=0)) @ K
-        cert.mu_c = pwl.PwlVector(cert.zeta.nodes, vals)
+            vals[:, k] = (Z[k] @ sys.Gc.eval(tau) + sys.Hc.sum(axis=0)) @ K
+        cert.mu_c = pwl.PwlArray(cert.zeta.nodes, vals)
     if sys.ndD:
         K = np.linalg.solve(np.eye(sys.ndD) - sys.HdD, np.eye(sys.ndD))
         cert.mu_d = (cert.zeta.eval(0.0) @ sys.Gd + sys.Hd.sum(axis=0)) @ K

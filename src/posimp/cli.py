@@ -440,7 +440,7 @@ def _load_result_gains(result: dict, kind: str, built):
         X, Y_c = array(g, "X", path, (n, nodes.size)), array(g, "Y_c", path, (n, q, nodes.size))
         L_d = None if g.get("L_d") is None else array(g, "L_d", path, (n, q_d))
         return _wrap_build(lambda: observer.StoredGains(
-            pwl.PwlVector(nodes, X), pwl.PwlMatrix(nodes, Y_c), L_d), f"{path}.nodes")
+            pwl.PwlArray(nodes, X), pwl.PwlArray(nodes, Y_c), L_d), f"{path}.nodes")
 
     if kind == "switched":
         modes = gains.get("modes") if isinstance(gains, dict) else None

@@ -20,7 +20,9 @@ so gain synthesis is again a linear program:
   mu_c = diag(U) as an extra variable.  They come from the emitter the
   certificates use, :class:`posimp.rows.DecayProgram`, on the timer grid
   and dwell window it derives from the constraint, with Y as one more
-  variable family (analysis is synthesis with Y = 0);
+  variable family (analysis is synthesis with Y = 0).  Its flow sample
+  plan, built once per block, also places the flow positivity rows, and
+  it alone records whether the rows are sound;
 * the gain bound gamma on the map from disturbance widths to the
   weighted errors M_c e / M_d e is the LP objective.
 
@@ -36,7 +38,7 @@ sequences -- for switched plants the mode pattern must repeat as well.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,8 +171,15 @@ class SwitchedPlant(core.Container):
         return max(getattr(self, b.name)[mode].degree for b in self.TABLE if b.timer)
 
 
-class _ExactGain:
-    """The exact continuous gain of the storage X and the product Y_c."""
+@dataclass
+class StoredGains:
+    """The gains as the synthesis data give them: the storage X, the
+    product Y_c and the jump gain L_d.  A ``synthesize`` result document
+    stores these; :class:`ObserverGains` adds the rest of the answer."""
+
+    X: pwl.PwlArray
+    Y_c: pwl.PwlArray
+    L_d: np.ndarray | None = None
 
     def L_c_at(self, tau: float) -> np.ndarray:
         """Exact recovered gain X(tau)^{-1} Y_c(tau).
@@ -185,8 +194,8 @@ class _ExactGain:
         return self.Y_c.eval(tau) / self.X.eval(tau)[:, None]
 
 
-@dataclass
-class ObserverGains(_ExactGain):
+@dataclass(kw_only=True)
+class ObserverGains(StoredGains, rows.Answer):
     """Synthesized gains plus the storage data certifying them.
 
     ``X`` holds the diagonal storage entries (one piecewise-linear entry
@@ -199,66 +208,28 @@ class ObserverGains(_ExactGain):
     shared.
     """
 
-    kind: str
-    constraint: object
     scalings: str
-    X: pwl.PwlVector
-    Y_c: pwl.PwlMatrix
     Y_d: np.ndarray | None
-    L_c: pwl.PwlMatrix
-    L_d: np.ndarray | None
+    L_c: pwl.PwlArray
     U: np.ndarray | None
     alpha: float
-    eps: float
-    gamma: float
-    sound: bool
-    program: lp.LinearProgram = field(repr=False)
-    assignment: np.ndarray = field(repr=False)
-    restriction: str | None = None
     mode: int | None = None
-
-    def reverify(self, feastol: float = 1e-8) -> list[lp.Violation]:
-        return lp.verify(self.program, self.assignment, feastol)
 
 
 SynthesisResult = ObserverGains | Infeasible
-
-
-@dataclass(frozen=True)
-class StoredGains(_ExactGain):
-    """Gains rebuilt from the synthesis data a ``synthesize`` result
-    document stores: the exact continuous gain and the jump gain L_d."""
-
-    X: pwl.PwlVector
-    Y_c: pwl.PwlMatrix
-    L_d: np.ndarray | None = None
-
-
-def _plan_taus(nodes: np.ndarray, degree: int) -> tuple[list[float], bool]:
-    """Deduplicated sample points of the flow plan, and their soundness."""
-    taus: list[float] = []
-    sound = True
-    for seg in pwl.flow_sample_plan(nodes, degree):
-        sound = sound and seg.sound
-        for t in seg.taus:
-            if not taus or t > taus[-1]:
-                taus.append(t)
-    return taus, sound
 
 
 class _Block:
     """Per-mode decision variables: diagonal X at the nodes, dense Y."""
 
     def __init__(self, prog: lp.LinearProgram, nodes, n, q_c, x_min, tag=""):
-        self.n, self.q_c = n, q_c
-        self.q_d = 0
+        self.n = n
         self.tag = tag
         self.x_idx = rows.add_vars(prog, tag + "x[{}]@n{}", (n, nodes.size), lb=x_min)
         self.yc_idx = rows.add_vars(prog, tag + "yc[{}][{}]@n{}", (n, q_c, nodes.size))
         self.yd_idx = None
 
     def add_discrete(self, prog: lp.LinearProgram, q_d: int) -> None:
-        self.q_d = q_d
         self.yd_idx = rows.add_vars(prog, self.tag + "yd[{}][{}]", (self.n, q_d))
 
     def y_terms(self, C, y=None):
@@ -274,17 +245,26 @@ class Synthesis(rows.DecayProgram):
     Built by :func:`range_synthesis`, :func:`min_synthesis` or
     :func:`switched_synthesis`; extra rows (for example
     :func:`gain_entry_box`) may be added before :meth:`solve`, which
-    minimizes gamma and recovers the gains.
+    minimizes gamma and recovers the gains.  The constructor checks the
+    scalings, the mode count of a switched plant and the family and
+    period of ``dt``; periodic scalings append ``_periodic`` to ``kind``
+    and set the restriction the answer carries.
     """
 
-    def __init__(self, name, kind, dt, scalings, options, switched: bool):
+    def __init__(self, name, kind, family, plant, dt, scalings, options):
+        scalings = delay.check_scalings(scalings, "observer synthesis admits")
+        self._switched = isinstance(plant, SwitchedPlant)
+        if self._switched and plant.n_modes < 2:
+            raise ValueError("switched synthesis needs at least two modes")
+        core.check_family(dt, family, plant.h_c)
+        self.periodic = scalings == UNCONSTRAINED_PERIODIC
+        self.opt = options = options or SynthesisOptions()
         super().__init__(name, dt, options.n_nodes, options.margin, options.eps_min)
-        self.kind = kind
+        self.kind = kind + "_periodic" if self.periodic else kind
+        if self.periodic:
+            self.restriction = _PERIODIC_RESTRICTION_SWITCHED if self._switched else \
+                delay._PERIODIC_RESTRICTION
         self.scalings = scalings
-        self.opt = options
-        self._switched = switched
-        self.sound = True
-        self.restriction: str | None = None
         self.alpha = self.p.add_var("alpha", lb=options.margin, ub=options.alpha_max)
         self.u_idx: np.ndarray | None = None
         self.blocks: list[_Block] = []
@@ -302,20 +282,21 @@ class Synthesis(rows.DecayProgram):
         self.u_idx = rows.add_vars(self.p, "u[{}]", (n,), lb=self.opt.margin)
 
     # -- positivity block ------------------------------------------------------
-    def positivity_rows(self, blk: _Block, blocks, flow: bool) -> None:
+    def positivity_rows(self, blk: _Block, blocks, plan: np.ndarray | None = None) -> None:
         """X F - Y C >= 0 entrywise for every (name, F, C) of ``blocks``.
 
-        Flow blocks (``flow``): X(tau) A(tau) - Y_c(tau) C_y + alpha I,
-        X Gc - Y_c H_y and X Ec - Y_c F_y at the flow sample plan (node
-        rows are exact when the matrices are constant).  Jump blocks:
-        X(0) J - Y_d C_yd, X(0) Gd - Y_d H_yd and X(0) Ed - Y_d F_yd.  An
-        entry with F >= 0 and no measurement term reduces to F x_i
-        (+ alpha) >= 0, which the variable bounds already give; it gets no
-        row.
+        Flow blocks (with the block's ``plan``, see
+        :meth:`~posimp.rows.DecayProgram.flow_plan`): X(tau) A(tau) -
+        Y_c(tau) C_y + alpha I, X Gc - Y_c H_y and X Ec - Y_c F_y at every
+        distinct timer value of the plan (node rows are exact when the
+        matrices are constant).  Jump blocks (no plan): X(0) J - Y_d C_yd,
+        X(0) Gd - Y_d H_yd and X(0) Ed - Y_d F_yd.  An entry with F >= 0
+        and no measurement term reduces to F x_i (+ alpha) >= 0, which the
+        variable bounds already give; it gets no row.
         """
+        flow = plan is not None
         if flow:
-            at, sound = _plan_taus(self.nodes, max(M.degree for _, M, _ in blocks))
-            self.sound = self.sound and sound
+            at = np.unique(plan).tolist()
             suffixes, y = [f"@{rows.fmt(t)}" for t in at], blk.yc_idx
         else:
             at, suffixes, y = [0.0], [""], blk.yd_idx
@@ -378,23 +359,20 @@ class Synthesis(rows.DecayProgram):
     def solve(self):
         """Minimize gamma; returns ObserverGains (a list for switched
         plants, one per mode) or Infeasible with named conditions."""
-        x = self.minimize_gamma(self.kind, self.opt.feastol)
-        if isinstance(x, Infeasible):
-            return x
+        shared = self.minimize_gamma(self.kind, self.opt.feastol)
+        if isinstance(shared, Infeasible):
+            return shared
+        x = shared["assignment"]
         results = []
         for mi, blk in enumerate(self.blocks):
-            X = pwl.PwlVector(self.nodes, x[blk.x_idx])
-            Y_c = pwl.PwlMatrix(self.nodes, x[blk.yc_idx])
+            X = pwl.PwlArray(self.nodes, x[blk.x_idx])
+            Y_c = pwl.PwlArray(self.nodes, x[blk.yc_idx])
             Y_d = x[blk.yd_idx] if blk.yd_idx is not None else None
             L_c, L_d = recover_gains(X, Y_c, Y_d, x_min=self.opt.x_min)
             U = None if self.u_idx is None else x[self.u_idx]
             results.append(ObserverGains(
-                kind=self.kind, constraint=self.dt, scalings=self.scalings,
-                X=X, Y_c=Y_c, Y_d=Y_d, L_c=L_c, L_d=L_d, U=U,
-                alpha=float(x[self.alpha]), eps=float(x[self.eps]),
-                gamma=float(x[self.gamma]), sound=self.sound,
-                program=self.p, assignment=x, restriction=self.restriction,
-                mode=mi if self._switched else None))
+                scalings=self.scalings, X=X, Y_c=Y_c, Y_d=Y_d, L_c=L_c, L_d=L_d, U=U,
+                alpha=float(x[self.alpha]), mode=mi if self._switched else None, **shared))
         return results if self._switched else results[0]
 
 
@@ -402,26 +380,21 @@ class Synthesis(rows.DecayProgram):
 # public builders
 
 def _plant_synthesis(name, kind, family, plant: ObservedPlant, dt, scalings, options) -> Synthesis:
-    scalings = delay.check_scalings(scalings, "observer synthesis admits")
-    core.check_family(dt, family, plant.h_c)
-    periodic = scalings == UNCONSTRAINED_PERIODIC
-    syn = Synthesis(name, kind + "_periodic" if periodic else kind,
-                    dt, scalings, options or SynthesisOptions(), switched=False)
+    syn = Synthesis(name, kind, family, plant, dt, scalings, options)
     blk = syn.add_block(plant.n, plant.qc)
     blk.add_discrete(syn.p, plant.qd)
-    if not periodic:
+    if not syn.periodic:
         syn.add_channel_multiplier(plant.n)
+    plan = syn.flow_plan(plant.flow_degree)
     syn.positivity_rows(blk, [("A", plant.A, plant.C_yc), ("Gc", plant.Gc, plant.H_yc),
-                              ("Ec", plant.Ec, plant.F_yc)], flow=True)
+                              ("Ec", plant.Ec, plant.F_yc)], plan)
     syn.positivity_rows(blk, [("J", plant.J, plant.C_yd), ("Gd", plant.Gd, plant.H_yd),
-                              ("Ed", plant.Ed, plant.F_yd)], flow=False)
+                              ("Ed", plant.Ed, plant.F_yd)])
     flow = syn.flow_groups(blk, plant.A, plant.Gc, plant.Ec, plant.C_yc, plant.H_yc,
-                           plant.F_yc, plant.M_c.sum(axis=0), folded=periodic)
+                           plant.F_yc, plant.M_c.sum(axis=0), folded=syn.periodic)
     jump = syn.jump_groups(blk, plant.J, plant.Gd, plant.Ed, plant.C_yd, plant.H_yd, plant.F_yd,
                            plant.M_d.sum(axis=0))
-    syn.sound = syn.decay_rows("", blk.x_idx, flow, jump, plant.flow_degree) and syn.sound
-    if periodic:
-        syn.restriction = delay._PERIODIC_RESTRICTION
+    syn.decay_rows("", blk.x_idx, flow, jump, plan)
     return syn
 
 
@@ -444,49 +417,42 @@ def switched_synthesis(plant: SwitchedPlant, dt, scalings: str = CONSTANT,
                        options: SynthesisOptions | None = None) -> Synthesis:
     """Unsolved per-mode gain-synthesis program under a minimum dwell
     time between switches."""
-    scalings = delay.check_scalings(scalings, "observer synthesis admits")
-    if plant.n_modes < 2:
-        raise ValueError("switched synthesis needs at least two modes")
-    core.check_family(dt, core.Minimum, plant.h_c)
-    periodic = scalings == UNCONSTRAINED_PERIODIC
-    syn = Synthesis("synthesize_switched",
-                    "observer_switched_periodic" if periodic else "observer_switched",
-                    dt, scalings, options or SynthesisOptions(), switched=True)
-    if not periodic:
+    syn = Synthesis("synthesize_switched", "observer_switched", core.Minimum, plant, dt,
+                    scalings, options)
+    if not syn.periodic:
         syn.add_channel_multiplier(plant.n)
     sumM = plant.M.sum(axis=0)
     for mi in range(plant.n_modes):
         blk = syn.add_block(plant.n, plant.q, tag=f"m{mi}:")
         A, Gc, Ec = plant.A[mi], plant.Gc[mi], plant.Ec[mi]
         C, H, F = plant.C_y[mi], plant.H_y[mi], plant.F_y[mi]
-        syn.positivity_rows(blk, [("A", A, C), ("Gc", Gc, H), ("Ec", Ec, F)], flow=True)
-        flow = syn.flow_groups(blk, A, Gc, Ec, C, H, F, sumM, folded=periodic)
-        syn.sound = syn.decay_rows(blk.tag, blk.x_idx, flow, None,
-                                   plant.flow_degree(mi)) and syn.sound
+        plan = syn.flow_plan(plant.flow_degree(mi))
+        syn.positivity_rows(blk, [("A", A, C), ("Gc", Gc, H), ("Ec", Ec, F)], plan)
+        flow = syn.flow_groups(blk, A, Gc, Ec, C, H, F, sumM, folded=syn.periodic)
+        syn.decay_rows(blk.tag, blk.x_idx, flow, None, plan)
     syn.coupling_rows()
-    if periodic:
-        syn.restriction = _PERIODIC_RESTRICTION_SWITCHED
     return syn
+
+
+def _solve(syn: Synthesis, gain_box: tuple | None):
+    """Solve ``syn``, first boxing its gain entries to ``gain_box`` when given."""
+    if gain_box is not None:
+        gain_entry_box(syn, *gain_box)
+    return syn.solve()
 
 
 def synthesize_range(plant: ObservedPlant, dt, scalings: str = CONSTANT,
                      options: SynthesisOptions | None = None,
                      gain_box: tuple | None = None) -> SynthesisResult:
     """Gains for dwell times ranging over [tmin, tmax]; gamma minimized."""
-    syn = range_synthesis(plant, dt, scalings, options)
-    if gain_box is not None:
-        gain_entry_box(syn, *gain_box)
-    return syn.solve()
+    return _solve(range_synthesis(plant, dt, scalings, options), gain_box)
 
 
 def synthesize_min(plant: ObservedPlant, dt, scalings: str = CONSTANT,
                    options: SynthesisOptions | None = None,
                    gain_box: tuple | None = None) -> SynthesisResult:
     """Gains for dwell times >= tbar; gamma minimized."""
-    syn = min_synthesis(plant, dt, scalings, options)
-    if gain_box is not None:
-        gain_entry_box(syn, *gain_box)
-    return syn.solve()
+    return _solve(min_synthesis(plant, dt, scalings, options), gain_box)
 
 
 def synthesize_switched(plant: SwitchedPlant, dt, scalings: str = CONSTANT,
@@ -494,13 +460,10 @@ def synthesize_switched(plant: SwitchedPlant, dt, scalings: str = CONSTANT,
                         gain_box: tuple | None = None):
     """Per-mode gains (a list, one entry per mode) under a minimum dwell
     time between switches; gamma minimized."""
-    syn = switched_synthesis(plant, dt, scalings, options)
-    if gain_box is not None:
-        gain_entry_box(syn, *gain_box)
-    return syn.solve()
+    return _solve(switched_synthesis(plant, dt, scalings, options), gain_box)
 
 
-def recover_gains(X: pwl.PwlVector, Y_c: pwl.PwlMatrix,
+def recover_gains(X: pwl.PwlArray, Y_c: pwl.PwlArray,
                   Y_d: np.ndarray | None, x_min: float = 1e-6):
     """Observer gains from the synthesis variables.
 
@@ -514,10 +477,8 @@ def recover_gains(X: pwl.PwlVector, Y_c: pwl.PwlMatrix,
         raise RuntimeError(
             f"storage diagonal fell below its floor ({vals.min()} < {x_min}); "
             "gain recovery would be ill-conditioned")
-    L_c = pwl.PwlMatrix(X.nodes, Y_c.values / vals[:, None, :])
-    L_d = None
-    if Y_d is not None:
-        L_d = np.asarray(Y_d, dtype=float) / vals[:, 0][:, None]
+    L_c = pwl.PwlArray(X.nodes, Y_c.values / vals[:, None, :])
+    L_d = None if Y_d is None else np.asarray(Y_d, dtype=float) / vals[:, 0][:, None]
     return L_c, L_d
 
 
@@ -540,10 +501,10 @@ def gain_entry_box(synthesis: Synthesis, lo: float, hi: float) -> Synthesis:
     for blk in synthesis.blocks:
         for i in range(blk.n):
             gains += [(f"{blk.tag}box:{{}}:yc[{i}][{r}]@n{k}", blk.x_idx[i, k], blk.yc_idx[i, r, k])
-                      for r in range(blk.q_c) for k in range(synthesis.nodes.size)]
+                      for r in range(blk.yc_idx.shape[1]) for k in range(synthesis.nodes.size)]
             if blk.yd_idx is not None:
                 gains += [(f"{blk.tag}box:{{}}:yd[{i}][{r}]", blk.x_idx[i, 0], blk.yd_idx[i, r])
-                          for r in range(blk.q_d)]
+                          for r in range(blk.yd_idx.shape[1])]
     # the row of (gain entry, side) is a X + b Y <= 0
     cols = np.array([(x, y) for _, x, y in gains for _ in sides], dtype=np.int64).reshape(-1)
     vals = np.tile(np.array([(a, b) for _, a, b in sides]).reshape(-1), len(gains))

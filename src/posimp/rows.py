@@ -11,15 +11,18 @@ a row group.  ``coef`` is a matrix or a callable of the timer (a
 one number, or one number per column.  An optional third entry replaces
 the interpolation weights of a node-valued family.
 
-:class:`DecayProgram` turns a dwell-time constraint into the timer grid
-and the flow, stationarity and jump decay rows of every certificate and
-synthesis program; :func:`emit` adds the rows of any block in one
-``add_rows`` call, one numpy product per term.
+:class:`DecayProgram` owns the timer grid of every certificate and
+synthesis program: it turns a dwell-time constraint into the grid and the
+flow, stationarity and jump decay rows, decides in
+:meth:`~DecayProgram.flow_plan` where timer-dependent rows are imposed and
+whether that is sound, and fills the fields every :class:`Answer` shares.
+:func:`emit` adds the rows of any block in one ``add_rows`` call, one
+numpy product per term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 import numpy as np
 
@@ -104,6 +107,22 @@ class Infeasible:
         return head
 
 
+@dataclass(kw_only=True)
+class Answer:
+    """The fields every certificate and synthesis answer shares."""
+    kind: str
+    constraint: core.DwellTimeConstraint
+    gamma: float
+    eps: float
+    sound: bool                        # False when flow rows were only sampled
+    program: lp.LinearProgram = field(repr=False)
+    assignment: np.ndarray = field(repr=False)
+    restriction: str | None = None     # extra admissibility restriction, if any
+
+    def reverify(self, feastol: float = 1e-8) -> list[lp.Violation]:
+        return lp.verify(self.program, self.assignment, feastol)
+
+
 class DecayProgram:
     """A program over the timer grid of a dwell-time constraint, with the
     gain bound gamma, the contraction eps and the decay rows all
@@ -117,7 +136,7 @@ class DecayProgram:
     node-valued ``state`` family there: the timer derivative on flow rows,
     eps on stationarity rows, eps - state(theta) on jump rows.  Terms are
     taken at the sample timer on flow and stationarity rows and at tau = 0
-    on jump rows.
+    on jump rows.  ``sound`` stays True while every flow plan is sound.
     """
 
     def __init__(self, name: str, dt, n_nodes: int, margin: float, eps_min: float):
@@ -127,21 +146,41 @@ class DecayProgram:
         self.nodes = pwl.uniform_nodes(dt.tbar if self.minimum else dt.tmax, n_nodes)
         self.gamma = self.p.add_var("gamma", lb=margin)
         self.eps = self.p.add_var("eps", lb=eps_min)
+        self.sound = True
+        self.restriction: str | None = None
 
-    def decay_rows(self, tag: str, state, flow, jump, degree: int) -> bool:
-        """The flow rows of the ``flow`` groups; for a minimum dwell time the
-        same rows frozen at tau = tbar, with eps in place of the derivative;
-        then, unless ``jump`` is None, the jump rows at every dwell value
-        theta: tbar, or the grid points covering [tmin, tmax].  Row names
-        start with ``tag``.  Returns True when the flow rows are sound."""
-        plan = pwl.flow_sample_plan(self.nodes, degree)
-        samples = [(seg.segment, i, t) for seg in plan for i, t in enumerate(seg.taus)]
-        s, k = np.arange(len(samples)), np.array([k for k, _, _ in samples])
+    def flow_plan(self, degree: int) -> np.ndarray:
+        """Where the flow rows of one block, of the form
+        d/dtau(pwl) + pwl * M(tau) <= rhs, are imposed: one row of timer
+        values per grid segment.
+
+        With constant system matrices (degree 0) the left-hand side is
+        affine in tau on each segment, so imposing the row at both segment
+        endpoints is sound for the whole segment.  With timer-dependent
+        matrices the product of a degree->=1 matrix and a piecewise-linear
+        variable is no longer affine; endpoints plus the midpoint are then
+        imposed and the program is recorded as sampled rather than sound.
+        """
+        a, b = self.nodes[:-1], self.nodes[1:]
+        if degree <= 0:
+            return np.stack([a, b], axis=1)
+        self.sound = False
+        return np.stack([a, 0.5 * (a + b), b], axis=1)
+
+    def decay_rows(self, tag: str, state, flow, jump, plan: np.ndarray) -> None:
+        """The flow rows of the ``flow`` groups at every sample of ``plan``
+        (see :meth:`flow_plan`); for a minimum dwell time the same rows
+        frozen at tau = tbar, with eps in place of the derivative; then,
+        unless ``jump`` is None, the jump rows at every dwell value theta:
+        tbar, or the grid points covering [tmin, tmax].  Row names start
+        with ``tag``."""
+        segments, per = plan.shape
+        s, k = np.arange(plan.size), np.repeat(np.arange(segments), per)
         deriv = np.zeros((s.size, self.nodes.size))
         h = np.diff(self.nodes)[k]
         deriv[s, k], deriv[s, k + 1] = -1.0 / h, 1.0 / h
-        self._rows(tag + "flow:", [f"@s{k}.{i}" for k, i, _ in samples],
-                   [t for _, _, t in samples], flow, [(state, np.eye(len(state)), deriv)])
+        self._rows(tag + "flow:", [f"@s{j}.{i}" for j in range(segments) for i in range(per)],
+                   plan.ravel().tolist(), flow, [(state, np.eye(len(state)), deriv)])
         if self.minimum:
             self._rows(tag + "stat:", [""], [self.dt.tbar], flow, [(self.eps, 1.0)])
         if jump is not None:
@@ -150,18 +189,21 @@ class DecayProgram:
             theta = (state, -np.eye(len(state)), pwl.hat_matrix(self.nodes, thetas))
             self._rows(tag + "jump:", [f"@{fmt(t)}" for t in thetas], [0.0] * len(thetas), jump,
                        [(self.eps, 1.0), theta])
-        return all(seg.sound for seg in plan)
 
     def minimize_gamma(self, kind: str, feastol: float):
-        """Minimize gamma: the optimal point, or :class:`Infeasible` naming
-        the conflicting rows."""
+        """Minimize gamma: :class:`Infeasible` naming the conflicting rows,
+        or the :class:`Answer` fields at the optimal point, which is their
+        ``assignment``."""
         self.p.set_objective({self.gamma: 1.0})
         out = lp.solve(self.p, feastol=feastol)
         if out.status == "infeasible":
             return Infeasible(kind, self.dt, out.rows_used, out.margin)
         if out.status != "optimal":  # pragma: no cover - gamma is bounded below
             raise lp.SolverError(f"unexpected solver status {out.status}")
-        return out.x
+        x = out.x
+        return dict(kind=kind, constraint=self.dt, gamma=float(x[self.gamma]),
+                    eps=float(x[self.eps]), sound=self.sound, program=self.p, assignment=x,
+                    restriction=self.restriction)
 
     def _rows(self, prefix, suffixes, at, groups, state_terms) -> None:
         weights = pwl.hat_matrix(self.nodes, at)

@@ -114,7 +114,8 @@ class DwellSequence:
 
     def covering(self, horizon: float) -> "DwellSequence":
         """This sequence extended to cover [0, horizon], tiling the
-        pattern when it repeats; error when it cannot cover."""
+        pattern when it repeats; error when it cannot cover, or would need
+        more than MAX_INTERVALS intervals."""
         total = sum(self.dwells)
         if total >= horizon:
             return self
@@ -122,6 +123,7 @@ class DwellSequence:
             raise ValueError(
                 f"dwell sequence covers {total:.6g} < horizon {horizon:.6g} "
                 "and is not flagged as repeating")
+        _check_intervals(horizon, min(self.dwells))
         reps = int(math.ceil(horizon / total))
         modes = None if self.modes is None else self.modes * reps
         return DwellSequence(self.dwells * reps, modes, True)
@@ -151,23 +153,17 @@ def gen_sequence(constraint, horizon: float, seed: int, *,
     else:
         raise TypeError(
             f"unsupported dwell-time constraint {type(constraint).__name__}")
+    _check_intervals(horizon, lo)
     if not isinstance(constraint, core.Periodic):
         dwells = _draw_until(rng, lo, hi, horizon)
         modes = None if n_modes is None else rng.integers(0, n_modes, len(dwells))
         return DwellSequence.build(dwells, modes)
 
-    q, target = constraint.q, constraint.period_sum
-    if q * lo > target * (1 + 1e-12) or q * min(hi, target) < target:
-        raise ValueError(
-            f"no q={q} dwell times in [{lo:.6g}, {hi:.6g}] can sum to "
-            f"{target:.6g}")
+    q, target = constraint.q, constraint.period_sum  # the constructor checked they can sum
     beta = _draw_block(rng, q, lo, hi, target)
     reps = int(math.ceil(horizon / target))
-    dwells = np.tile(beta, reps)
-    modes = None
-    if n_modes is not None:
-        modes = np.tile(rng.integers(0, n_modes, q), reps)
-    return DwellSequence.build(dwells, modes, repeats=True)
+    modes = None if n_modes is None else np.tile(rng.integers(0, n_modes, q), reps)
+    return DwellSequence.build(np.tile(beta, reps), modes, repeats=True)
 
 
 def _check_horizon(horizon) -> None:
@@ -175,6 +171,18 @@ def _check_horizon(horizon) -> None:
         raise ValueError(f"horizon must be finite, got {horizon}")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
+
+
+#: Most dwell intervals a run may need: a horizon longer than that many
+#: shortest dwells is an error before any dwell is drawn or tiled.
+MAX_INTERVALS = 10**7
+
+
+def _check_intervals(horizon: float, shortest: float) -> None:
+    if horizon / shortest > MAX_INTERVALS:
+        raise ValueError(
+            f"horizon {horizon:.6g} spans up to {horizon / shortest:.3g} dwell intervals of "
+            f"{shortest:.6g}; at most {MAX_INTERVALS:,} are simulated")
 
 
 def _draw_until(rng, lo, hi, horizon):
@@ -447,29 +455,47 @@ def _simulate(sysv, seq, w_c, w_d, phi, horizon, step) -> SimulationTrace:
 
 def _schedule(seq, horizon, h):
     """Row times of a run and its intervals (mode, start row, steps,
-    whether the last step is partial, whether a jump ends it).  Steps of
-    h run from each interval start; the last one is snapped onto the
-    interval end, which is then a partial step."""
+    whether the last step is partial, whether a jump ends it)."""
     times = seq.times
-    rows, intervals = [0.0], []
+    rows, intervals, r0 = [np.zeros(1)], [], 0
     for k in range(len(seq.dwells)):
         t_start = float(times[k])
         if t_start >= horizon:
             break
         t_end = min(float(times[k + 1]), horizon)
-        r0, t, partial = len(rows) - 1, t_start, False
-        while t < t_end - 1e-12 * max(1.0, t_end):
-            dt = min(h, t_end - t)
-            snap = t_end - (t + dt) < 1e-12 * h
-            partial = snap or dt < h
-            t = t_end if snap else t + dt
-            rows.append(t)
+        steps, partial = _steps(t_start, t_end, h)
         jump = not (t_end >= horizon or t_end < float(times[k + 1]))
-        intervals.append((seq.modes[k] if seq.modes else 0, r0, len(rows) - 1 - r0, partial, jump))
+        intervals.append((seq.modes[k] if seq.modes else 0, r0, steps.size, partial, jump))
+        rows.append(steps)
+        r0 += steps.size + 1
         if not jump:
             break
-        rows.append(t_end)
-    return np.array(rows), intervals
+        rows.append([t_end])
+    return np.concatenate(rows), intervals
+
+
+def _steps(t, t_end, h):
+    """Row times of one interval after its start t, and whether the last
+    step is partial.  Steps of h run from t as sequential sums, one
+    ``np.add.accumulate`` per block of them; the last step is snapped onto
+    t_end, or ends there when less than h remains, and is then partial."""
+    tol, snap = 1e-12 * max(1.0, t_end), 1e-12 * h
+    rows = []
+    while True:
+        c = np.add.accumulate(np.concatenate([[t], np.full(math.ceil((t_end - t) / h) + 2, h)]))
+        # whole steps from and to short of t_end: a prefix of the block, as c
+        # increases; all of it only when rounding drifts by h (~1e8 steps)
+        last = int(np.count_nonzero((c[:-1] < t_end - tol) & (t_end - c[:-1] >= h)
+                                    & (t_end - c[1:] >= snap)))
+        rows.append(c[1:last + 1])
+        t = c[last]
+        if last < c.size - 1:
+            break
+    if t >= t_end - tol:
+        return np.concatenate(rows), False
+    end = t + (t_end - t)  # within snap of t_end whenever a whole step would snap
+    rows.append([t_end if t_end - end < snap else end])
+    return np.concatenate(rows), True
 
 
 def _step_tables(sysv, intervals, h):

@@ -7,6 +7,8 @@ Independent oracles used here:
 - homogeneity of the certificate LP under input/output channel scaling.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,22 @@ def test_min_free_feasible_certificate_contents():
     also = certify.certify_min_free(sysd, core.Minimum(1.9))
     assert isinstance(also, Certificate)
     assert also.reverify() == []
+
+
+def test_eliminated_scalings_equal_a_loop_over_eval():
+    """The attached mu_c, bit for bit, as one zeta.eval per node gives it."""
+    rng = np.random.default_rng(3)
+    sysd = core.LftPositiveSystem.build(
+        A=-np.eye(5), Gc=rng.uniform(0.0, 1.0, (5, 3)), CcD=rng.uniform(0.0, 1.0, (3, 5)),
+        HcD=0.1 * np.eye(3), Cc=np.ones((1, 5)), Hc=[[0.2, 0.0, 0.1]])
+    cert = certify.certify_range_free(uncertain_impulsive(), core.Range(1.5, 2.0),
+                                      CertifyOptions(n_nodes=11))
+    zeta = pwl.PwlArray(cert.zeta.nodes, rng.normal(size=(5, 11)))
+    got = certify._attach_eliminated(dataclasses.replace(cert, zeta=zeta), sysd).mu_c.values
+    K = np.linalg.solve(np.eye(3) - sysd.HcD, np.eye(3))
+    want = np.stack([(zeta.eval(t) @ sysd.Gc.eval(t) + sysd.Hc.sum(axis=0)) @ K
+                     for t in zeta.nodes], axis=1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_min_free_infeasible_reports_named_conditions():

@@ -151,6 +151,16 @@ def test_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
     assert not csv.exists()
 
 
+def test_too_many_intervals_is_an_error_line(tmp_path, capsys):
+    csv = tmp_path / "trace.csv"
+    assert cli.main(["simulate", _fixture("stable_toy"), "--seq", "gen:1",
+                     "--horizon", "1e9", "--out", str(csv)]) == 1
+    assert capsys.readouterr().err == (
+        "error: horizon 1e+09 spans up to 2e+09 dwell intervals of 0.5; "
+        "at most 10,000,000 are simulated\n")
+    assert not csv.exists()
+
+
 @pytest.fixture
 def synthesized(tmp_path):
     """The synthesize result document of range_observer_plant, and the

@@ -97,19 +97,19 @@ def test_switched_plant_build_validates():
 
 def test_recover_gains_divides_nodewise():
     nodes = np.array([0.0, 1.0])
-    X = pwl.PwlVector(nodes, np.array([[2.0, 2.0], [4.0, 4.0]]))
-    Y_c = pwl.PwlMatrix(nodes, np.array([[[1.0, 1.0]], [[2.0, 2.0]]]))
+    X = pwl.PwlArray(nodes, np.array([[2.0, 2.0], [4.0, 4.0]]))
+    Y_c = pwl.PwlArray(nodes, np.array([[[1.0, 1.0]], [[2.0, 2.0]]]))
     Y_d = np.array([[1.0], [2.0]])
     L_c, L_d = observer.recover_gains(X, Y_c, Y_d)
     assert L_c.values == pytest.approx(
         np.array([[[0.5, 0.5]], [[0.5, 0.5]]]))
     assert L_d == pytest.approx(np.array([[0.5], [0.5]]))
 
-    L_c0, L_d0 = observer.recover_gains(X, pwl.PwlMatrix(
+    L_c0, L_d0 = observer.recover_gains(X, pwl.PwlArray(
         nodes, np.zeros((2, 1, 2))), None)
     assert not L_c0.values.any() and L_d0 is None
 
-    bad = pwl.PwlVector(nodes, np.array([[2.0, 1e-9], [4.0, 4.0]]))
+    bad = pwl.PwlArray(nodes, np.array([[2.0, 1e-9], [4.0, 4.0]]))
     with pytest.raises(RuntimeError, match="floor"):
         observer.recover_gains(bad, Y_c, Y_d)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posimp import pwl
+from posimp import core, pwl, rows
 
 
 def test_uniform_nodes():
@@ -15,7 +15,7 @@ def test_uniform_nodes():
 
 
 def test_eval_interpolates_and_clamps():
-    f = pwl.PwlVector([0.0, 1.0, 2.0], [[1.0, 3.0, 2.0]])
+    f = pwl.PwlArray([0.0, 1.0, 2.0], [[1.0, 3.0, 2.0]])
     assert f.eval(0.0) == [1.0]
     assert f.eval(0.5) == [2.0]
     assert f.eval(1.5) == [2.5]
@@ -24,12 +24,49 @@ def test_eval_interpolates_and_clamps():
     assert f.eval(-1.0) == [1.0]
 
 
-def test_hat_weights_partition_of_unity():
+def test_hat_matrix_partition_of_unity():
     nodes = pwl.uniform_nodes(1.0, 4)
-    for tau in [0.0, 0.1, 1.0 / 3.0, 0.5, 0.99, 1.0]:
-        ws = pwl.hat_weights(nodes, tau)
-        assert sum(w for _, w in ws) == pytest.approx(1.0)
-        assert all(w > 0 for _, w in ws)
+    W = pwl.hat_matrix(nodes, [0.0, 0.1, 1.0 / 3.0, 0.5, 0.99, 1.0])
+    np.testing.assert_allclose(W.sum(axis=1), 1.0)
+    assert (W >= 0).all()
+    # at most two positive weights per row, on adjacent nodes
+    for row in W:
+        hit = np.flatnonzero(row)
+        assert 1 <= hit.size <= 2 and np.ptp(hit) <= 1
+
+
+def _scalar_hat_row(nodes, tau):
+    """The clamped interpolation weights of one tau, branch by branch."""
+    out = np.zeros(nodes.size)
+    if tau <= nodes[0]:
+        out[0] = 1.0
+    elif tau >= nodes[-1]:
+        out[-1] = 1.0
+    else:
+        k = min(max(int(np.searchsorted(nodes, tau, side="right")) - 1, 0), nodes.size - 2)
+        s = (tau - nodes[k]) / (nodes[k + 1] - nodes[k])
+        if s == 0.0:
+            out[k] = 1.0
+        elif s == 1.0:
+            out[k + 1] = 1.0
+        else:
+            out[k], out[k + 1] = 1.0 - s, s
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hat_matrix_equals_the_scalar_clamp_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        nodes = pwl.uniform_nodes(rng.uniform(0.1, 3.0), n) if rng.random() < 0.5 else \
+            np.cumsum(rng.uniform(1e-3, 2.0, n)) - rng.uniform(0.0, 3.0)
+        taus = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]),
+                               np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                               rng.uniform(nodes[0] - 1.0, nodes[-1] + 1.0, 10),
+                               [-np.inf, np.inf, -0.0, 0.0]]).tolist()
+        want = np.array([_scalar_hat_row(nodes, t) for t in taus])
+        assert pwl.hat_matrix(nodes, taus).tobytes() == want.tobytes()  # signed zeros too
 
 
 @settings(max_examples=150, deadline=None)
@@ -39,30 +76,35 @@ def test_hat_weights_partition_of_unity():
 )
 def test_eval_stays_within_the_node_values(vals, t):
     nodes = pwl.uniform_nodes(3.0, len(vals))
-    f = pwl.PwlVector(nodes, [vals])
+    f = pwl.PwlArray(nodes, [vals])
     lo, hi = min(vals), max(vals)
     assert lo - 1e-12 <= f.eval(t)[0] <= hi + 1e-12
 
 
 def test_vector_and_matrix_wrappers():
     nodes = pwl.uniform_nodes(1.0, 3)
-    v = pwl.PwlVector(nodes, [[0.0, 1.0, 2.0], [4.0, 2.0, 0.0]])
+    v = pwl.PwlArray(nodes, [[0.0, 1.0, 2.0], [4.0, 2.0, 0.0]])
+    assert v.shape == (2,)
     np.testing.assert_allclose(v.eval(0.5), [1.0, 2.0])
 
-    m = pwl.PwlMatrix(nodes, np.arange(12, dtype=float).reshape(2, 2, 3))
+    m = pwl.PwlArray(nodes, np.arange(12, dtype=float).reshape(2, 2, 3))
     assert m.shape == (2, 2)
     np.testing.assert_allclose(m.eval(0.0), [[0.0, 3.0], [6.0, 9.0]])
     np.testing.assert_allclose(m.eval(0.25), 0.5 * (m.eval(0.0) + m.eval(0.5)))
 
 
-def test_flow_sample_plan_soundness():
-    nodes = pwl.uniform_nodes(1.0, 3)
-    plan0 = pwl.flow_sample_plan(nodes, degree=0)
-    assert all(p.sound for p in plan0)
-    assert [p.taus for p in plan0] == [(0.0, 0.5), (0.5, 1.0)]
-    plan1 = pwl.flow_sample_plan(nodes, degree=1)
-    assert not any(p.sound for p in plan1)
-    assert plan1[0].taus == (0.0, 0.25, 0.5)
+def test_flow_plan_soundness():
+    prog = rows.DecayProgram("plan", core.Range(0.5, 1.0), 3, 1e-7, 1e-6)
+    plan0 = prog.flow_plan(degree=0)
+    assert prog.sound
+    assert plan0.tolist() == [[0.0, 0.5], [0.5, 1.0]]
+    plan1 = prog.flow_plan(degree=1)
+    assert not prog.sound
+    assert plan1[0].tolist() == [0.0, 0.25, 0.5]
+    prog.flow_plan(degree=0)  # a later sound block leaves the program sampled
+    assert not prog.sound
+    # the grid of a minimum dwell time ends at tbar
+    assert rows.DecayProgram("plan", core.Minimum(2.0), 3, 1e-7, 1e-6).flow_plan(0)[-1, -1] == 2.0
 
 
 def test_window_points():
@@ -77,8 +119,8 @@ def test_window_points():
 
 def test_bad_shapes_raise():
     with pytest.raises(ValueError):
-        pwl.PwlVector([0.0, 0.0], [[1.0, 2.0]])
+        pwl.PwlArray([0.0, 0.0], [[1.0, 2.0]])
     with pytest.raises(ValueError):
-        pwl.PwlVector([0.0, 1.0], [[1.0, 2.0, 3.0]])
+        pwl.PwlArray([0.0, 1.0], [[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
-        pwl.PwlVector([0.0, 1.0], [1.0, 2.0])
+        pwl.PwlArray([0.0, 1.0], [1.0, 2.0])

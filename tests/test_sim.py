@@ -8,6 +8,7 @@ the analysis modules.
 """
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -316,6 +317,22 @@ def test_non_finite_horizon_is_rejected():
             sim.empirical_gain(s, RANGE_DT, n_trials=1, horizon=horizon)
 
 
+@pytest.mark.parametrize("make, shortest", [
+    (lambda h: sim.gen_sequence(core.Range(0.5, 1.5), h, 1), 0.5),
+    (lambda h: sim.gen_sequence(core.Minimum(2.0), h, 1, n_modes=2), 2.0),
+    (lambda h: sim.gen_sequence(core.PeriodicMinimum(1.0, q=2, alpha=1, h_c=4.0), h, 1), 1.0),
+    (lambda h: sim.DwellSequence.build([0.5, 2.0], repeats=True).covering(h), 0.5),
+], ids=["range", "minimum", "periodic", "covering"])
+def test_interval_count_is_capped_before_allocating(make, shortest):
+    # just past the cap on horizon / shortest dwell, and far past it
+    for horizon in (shortest * sim.MAX_INTERVALS * (1 + 1e-9), 1e9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 10,000,000 are simulated"):
+            make(horizon)
+        assert time.perf_counter() - start < 0.5
+    assert sum(make(3.0).dwells) >= 3.0
+
+
 def test_trajectory_nonnegative_on_positive_fixture():
     e2 = systems.range_observer_error()
     seq = sim.gen_sequence(RANGE_DT, 20.0, 11)
@@ -446,6 +463,62 @@ def test_row_times_are_unchanged(name):
     digest, run = ROW_TIMES[name]
     tr = run()
     assert hashlib.sha256(tr.t.tobytes()).hexdigest()[:16] == digest
+
+
+def _loop_schedule(seq, horizon, h):
+    """The row times and intervals of a run, one step at a time: steps of h
+    from each interval start, the last one snapped onto the interval end."""
+    times = seq.times
+    rows, intervals = [0.0], []
+    for k in range(len(seq.dwells)):
+        t_start = float(times[k])
+        if t_start >= horizon:
+            break
+        t_end = min(float(times[k + 1]), horizon)
+        r0, t, partial = len(rows) - 1, t_start, False
+        while t < t_end - 1e-12 * max(1.0, t_end):
+            dt = min(h, t_end - t)
+            snap = t_end - (t + dt) < 1e-12 * h
+            partial = snap or dt < h
+            t = t_end if snap else t + dt
+            rows.append(t)
+        jump = not (t_end >= horizon or t_end < float(times[k + 1]))
+        intervals.append((seq.modes[k] if seq.modes else 0, r0, len(rows) - 1 - r0, partial, jump))
+        if not jump:
+            break
+        rows.append(t_end)
+    return np.array(rows), intervals
+
+
+def _same_schedule(seq, horizon, h):
+    got_t, got = sim._schedule(seq, horizon, h)
+    want_t, want = _loop_schedule(seq, horizon, h)
+    assert got_t.tobytes() == want_t.tobytes()
+    assert [tuple(map(int, iv)) for iv in got] == [tuple(map(int, iv)) for iv in want]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_schedule_equals_a_loop_over_the_steps(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        h = float(rng.choice([0.1, 0.04, 1 / 3, 2 / 27, rng.uniform(0.04, 1.0)]))
+        k = int(rng.integers(1, 8))
+        dwells = [rng.uniform(0.01, 3.0, k), h * rng.integers(1, 9, k),  # multiples of h
+                  rng.uniform(1.0, 50.0, k),
+                  # late intervals, where a step's rounding can exceed the snap tolerance
+                  np.append(rng.uniform(500.0, 2000.0), h * rng.integers(1, 9, k))
+                  ][int(rng.integers(0, 4))]
+        seq = sim.DwellSequence.build(
+            dwells, rng.integers(0, 3, len(dwells)) if rng.random() < 0.5 else None)
+        ends = seq.times[1:]
+        _same_schedule(seq, float(rng.choice([ends[-1], ends[int(rng.integers(0, len(ends)))],
+                                              ends[-1] * rng.uniform(0.1, 1.0)])), h)
+    for _ in range(100):
+        # a single partial step from a start below half the horizon, whose end
+        # t + (horizon - t) can round off the horizon
+        h = float(rng.uniform(0.04, 1.0))
+        seq = sim.DwellSequence.build(h * rng.uniform(0.05, 0.95, 2))
+        _same_schedule(seq, float(seq.times[-1] * rng.uniform(0.1, 1.0)), h)
 
 
 def test_enclosure_holds_on_reference_observer_run():
