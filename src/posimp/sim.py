@@ -6,22 +6,25 @@ every jump, so one RK4 step of the linear delayed flow is a linear map
 of the state, the three delayed reads x(t - h_c), x(t + h/2 - h_c),
 x(t + h - h_c) and the three input samples w(t), w(t + h/2), w(t + h).
 
-A run is planned before its first step: its row times (the samples and
-one post-jump row per jump); the step maps of each mode, one for a flow
-that does not depend on the timer (the degree-4 polynomial of the map
-in h gives it and each interval's last, partial step) and one per step
-index of a dwell interval otherwise; the two rows and the weight of
-every delayed read; and every input value, each shape-checked: w_c on
-all stage times, w_d on all jump indices, phi0 on 0, -h_c and every
-read at or before 0.  An interval is walked in chunks of at most
-h_c/h - 1 steps, so a chunk's reads are clamped to its start row and
-touch only rows written before it; per chunk the loop interpolates the
-reads, applies the maps and computes the outputs.  The jump map acts on
-the left limit x(t_k), with x(t_{k - h_d}) from a buffer of pre-jump
-samples.  A switched system is a per-mode list run along the modes of
-the dwell sequence; an interval-observer run is a plain run of one
-3n-state system on (x, x^-, x^+) that lifts the plant and its closed
-error system from :func:`posimp.observer.error_system`.
+Per run, before the first step: the row times (the samples and one
+post-jump row per jump); the step maps, indexed by step: per mode one
+full-step map for a flow that does not depend on the timer and one per
+step index of a dwell interval otherwise, then one map per partial last
+step (for a constant flow all from the degree-4 polynomial of the map in
+h, in one batch); the two rows and the weight of every delayed read; and
+every input value, each shape-checked: w_c on all stage times, w_d on
+all jump indices, phi0 on 0, -h_c and every read at or before 0.  The
+steps are walked in chunks of at most h_c/h - 1 steps, across jumps, so
+a chunk's reads are clamped to its start row and touch only rows written
+before it.  Per chunk: one interpolation of the reads, one product of
+the maps with the reads and inputs, one finiteness check.  Per row: the
+state recurrence, and at a jump the jump map on the left limit x(t_k),
+with x(t_{k - h_d}) from its pre-jump row.  After the last chunk, per
+run: the outputs, one product per mode, and the jump records.  A
+switched system is a per-mode list run along the modes of the dwell
+sequence; an interval-observer run is a plain run of one 3n-state
+system on (x, x^-, x^+) that lifts the plant and its closed error system
+from :func:`posimp.observer.error_system`.
 
 The module also generates admissible dwell-time sequences for every
 constraint kind, checks interval-observer enclosures sample by sample,
@@ -183,6 +186,22 @@ def _check_intervals(horizon: float, shortest: float) -> None:
         raise ValueError(
             f"horizon {horizon:.6g} spans up to {horizon / shortest:.3g} dwell intervals of "
             f"{shortest:.6g}; at most {MAX_INTERVALS:,} are simulated")
+
+
+#: Most rows (samples and post-jump rows) a run may have.  A run is planned
+#: in full before its first step, at some hundreds of bytes a row, so one
+#: that could need more is an error before any row is laid out.
+MAX_ROWS = 10**6
+
+
+def _check_rows(seq, horizon: float, h: float) -> None:
+    """At most horizon / h whole steps, one more per interval for its last
+    step and one post-jump row per jump."""
+    rows = horizon / h + 2 * int(np.searchsorted(seq.times, horizon)) + 1
+    if rows > MAX_ROWS:
+        raise ValueError(
+            f"horizon {horizon:.6g} at step {h:.6g} takes up to {rows:.3g} rows; "
+            f"at most {MAX_ROWS:,} are simulated")
 
 
 def _draw_until(rng, lo, hi, horizon):
@@ -374,19 +393,24 @@ def _simulate(sysv, seq, w_c, w_d, phi, horizon, step) -> SimulationTrace:
                       "h_c and respect the shortest dwell", stacklevel=3)
     step = h
     seq = seq.covering(horizon)
+    _check_rows(seq, horizon, step)
 
-    # the plan: each delayed read is clamped to its chunk's start row and
-    # interpolates two rows of G, phi0 samples first, then the history
+    # the plan: the steps of the run are walked in chunks of at most
+    # h_c/h - 1, across jumps; each delayed read is clamped to its chunk's
+    # start row and interpolates two rows of G, phi0 samples first, then
+    # the history
     ht, intervals = _schedule(seq, horizon, step)
     chunk = max(1, round(h_c / step) - 1)
-    counts = np.array([steps for _, _, steps, *_ in intervals])
+    modes, r0, counts, partial, jump = (np.array(c) for c in zip(*intervals))
     first = np.cumsum(counts) - counts  # the first step of each interval
+    last = first + counts - 1
     i = np.arange(counts.sum()) - np.repeat(first, counts)
-    rows = np.repeat([r0 for _, r0, *_ in intervals], counts) + i  # step -> start row
+    rows = np.repeat(r0, counts) + i  # step -> start row
+    jr = rows[last[jump]] + 1  # the left-limit row of each jump, its post-jump row next
     t, dt = ht[rows], ht[rows + 1] - ht[rows]
     stage = np.column_stack([t + 0.5 * dt, t + dt])
     s = (np.column_stack([t, stage]) - h_c).ravel()
-    k = np.minimum(np.searchsorted(ht, s), np.repeat(rows - i % chunk, 3))
+    k = np.minimum(np.searchsorted(ht, s), np.repeat(rows[::chunk], 3 * chunk)[:len(s)])
     past = s <= 0.0
     take = (s >= ht[k]) | past
     w = np.where(take, 1.0, (s - ht[k - 1]) / np.where(take, 1.0, ht[k] - ht[k - 1]))
@@ -396,61 +420,56 @@ def _simulate(sysv, seq, w_c, w_d, phi, horizon, step) -> SimulationTrace:
     # w(t) of a step is w(t + h) of the step before, w(0) for the first
     Ws = w_c([0.0, *stage.ravel().tolist()]) if pc else np.zeros((2 * len(t) + 1, 0))
     Wf = np.hstack([Ws[:-1:2], Ws[1::2], Ws[2::2]])
-    n_jumps = sum(iv[4] for iv in intervals)
-    Wd = w_d(range(1, n_jumps + 1)) if pd else np.zeros((n_jumps, 0))
+    Wd = w_d(range(1, len(jr) + 1)) if pd else np.zeros((len(jr), 0))
+    mode, cut = np.repeat(modes, counts), np.zeros(len(t), dtype=bool)
+    cut[last[partial]] = True
+    TX, TV, index = _step_maps(sysv, step, mode, i, t - ht[np.repeat(r0, counts)], dt, cut)
 
     G = np.vstack([P, P[:1], np.full((len(ht) - 1, n), np.nan)])  # phi0, history (NaN unwritten)
     H, x = G[len(P):], P[0]
-    Z = np.empty((len(ht), sys.qc))
-    tables = _step_tables(sysv, intervals, step)
-    output = [np.hstack([m.Cc, m.Hc, m.Fc]) for m in sysv]
-    Z[0] = output[intervals[0][0]] @ np.concatenate([x, P[1], Ws[0]])
-    jumps: list[JumpRecord] = []
-    jump_pre: list[np.ndarray] = []  # jump_pre[k-1] = x(t_k) left limit
+    bound = np.append(rows, len(ht) - 1)
+    jump_maps = [(sysv[md].J, sysv[md].Gd, sysv[md].Ed) for md in modes[jump].tolist()]
+    at, kj = [*jr.tolist(), -1], 0
+    # a diverging state ends the run with a SimulationError, not a numpy
+    # warning (the caller's callables ran before the loop)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(t), chunk):  # steps a..b-1 write rows bound[a]+1..bound[b]
+            b = min(a + chunk, len(t))
+            g = slice(3 * a, 3 * b)
+            D = ((1.0 - w[g])[:, None] * G[ia[g]] + w[g][:, None] * G[ib[g]]).reshape(b - a, 3 * n)
+            U = np.einsum("jik,jk->ji", TV[index[a:b]], np.hstack([D, Wf[a:b]]))
+            for e, T, u in zip((rows[a:b] + 1).tolist(), TX[index[a:b]], U):
+                x = H[e] = T.dot(x) + u
+                if e == at[kj]:
+                    # x(t_{k-h_d}): the current left limit when h_d = 0, phi0(0) while k <= h_d
+                    J, Gd, Ed = jump_maps[kj]
+                    x_kd = H[at[kj - h_d]] if kj >= h_d else P[0]
+                    x = H[e + 1] = J @ x + Gd @ x_kd + Ed @ Wd[kj]
+                    kj += 1
+            X = H[bound[a] + 1:bound[b] + 1]
+            if not np.isfinite(X).all():
+                bad = int(np.argmin(np.isfinite(X).all(axis=1)))
+                raise SimulationError(f"state became non-finite at t={ht[bound[a] + 1 + bad]:.6g}")
 
-    for kj, (mode, r0, steps, partial, jump) in enumerate(intervals, 1):
-        m = sysv[mode]
-        Tx_tab, Tv_tab, one = tables[mode]
-        for a in range(0, steps, chunk):
-            r, c, j = r0 + a, min(chunk, steps - a), first[kj - 1] + a  # rows r+1..r+c are new
-            g = slice(3 * j, 3 * (j + c))
-            D = ((1.0 - w[g])[:, None] * G[ia[g]] + w[g][:, None] * G[ib[g]]).reshape(c, 3 * n)
-            W = Wf[j:j + c]
-            idx = np.minimum(np.arange(a, a + c), len(Tx_tab) - 1)
-            Tx, Tv = Tx_tab[idx], Tv_tab[idx]
-            if partial and a + c == steps:
-                Tx[-1], Tv[-1] = one(float(t[j + c - 1] - ht[r0]), float(dt[j + c - 1]))
-            X = H[r + 1:r + c + 1]
-            # a diverging state ends the run with a SimulationError, not a
-            # numpy warning (the caller's callables ran before the loop)
-            with np.errstate(over="ignore", invalid="ignore"):
-                U = np.einsum("jik,jk->ji", Tv, np.hstack([D, W]))
-                for q in range(c):
-                    x = X[q] = Tx[q] @ x + U[q]
-                if not np.isfinite(X).all():
-                    bad = int(np.argmin(np.isfinite(X).all(axis=1)))
-                    raise SimulationError(
-                        f"state became non-finite at t={ht[r + 1 + bad]:.6g}")
-                Z[r + 1:r + c + 1] = np.hstack([X, D[:, 2 * n:], W[:, 2 * pc:]]) @ output[mode].T
-
-        if not jump:
-            break
-        t_end = float(ht[r0 + steps + 1])
-        # x(t_{k-h_d}): the current left limit when h_d = 0, phi0(0) while k <= h_d
-        x_kd = x if h_d == 0 else jump_pre[kj - h_d - 1] if kj > h_d else P[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_post = m.J @ x + m.Gd @ x_kd + m.Ed @ Wd[kj - 1]
-            z_d = m.Cd @ x + m.Hd @ x_kd + m.Fd @ Wd[kj - 1]
-        if not np.all(np.isfinite(x_post)):
-            raise SimulationError(f"state became non-finite at t={t_end:.6g}")
-        jumps.append(JumpRecord(kj, t_end, x, x_post, z_d))
-        jump_pre.append(x)
-        x = H[r0 + steps + 1] = x_post
+        del s, k, past, take, stage, t, dt, Wf, TX, TV, index  # before the outputs' temporaries
+        # the outputs, with the reads at t + h taken again now that every row is written
+        out = [np.hstack([m.Cc, m.Hc, m.Fc]) for m in sysv]
+        Z = np.empty((len(ht), sys.qc))
+        Z[0] = out[modes[0]] @ np.concatenate([P[0], P[1], Ws[0]])
+        g = slice(2, None, 3)
+        R = (1.0 - w[g])[:, None] * G[ia[g]] + w[g][:, None] * G[ib[g]]
+        for md in np.unique(mode).tolist():
+            sel = mode == md
+            Z[rows[sel] + 1] = np.hstack([H[rows[sel] + 1], R[sel], Ws[2::2][sel]]) @ out[md].T
+        x_kd = np.concatenate([np.repeat(P[:1], h_d, axis=0), H[jr]])
+        z_d = [sysv[md].Cd @ x + sysv[md].Hd @ y + sysv[md].Fd @ v
+               for md, x, y, v in zip(modes[jump].tolist(), H[jr], x_kd, Wd)]
 
     sample = np.ones(len(ht), dtype=bool)
-    sample[[r0 for _, r0, *_ in intervals[1:]]] = False  # post-jump rows
-    return SimulationTrace(ht[sample], H[sample], Z[sample], tuple(jumps),
-                           step, float(requested), seq)
+    sample[jr + 1] = False  # post-jump rows
+    jumps = map(JumpRecord, range(1, len(jr) + 1), ht[jr].tolist(), H[jr], H[jr + 1], z_d)
+    return SimulationTrace(ht[sample], H[sample], Z[sample], tuple(jumps), step,
+                           float(requested), seq)
 
 
 def _schedule(seq, horizon, h):
@@ -498,25 +517,6 @@ def _steps(t, t_end, h):
     return np.concatenate(rows), True
 
 
-def _step_tables(sysv, intervals, h):
-    """Per used mode, the stacked maps of full steps from timers 0, h,
-    2h, ... (one when the flow does not depend on the timer) and the map
-    of one step of any length from any timer."""
-    count = {}
-    for mode, _, steps, partial, _ in intervals:
-        count[mode] = max(count.get(mode, 1), steps - partial)
-    tables = {}
-    for mode, num in count.items():
-        m = sysv[mode]
-        if m.flow_degree:
-            one = functools.partial(_step_map, m)
-        else:
-            one = lambda _tau, dt, C=_step_poly(m): _poly_map(C, dt)
-        maps = [one(i * h, h) for i in range(num if m.flow_degree else 1)]
-        tables[mode] = (*(np.array(T) for T in zip(*maps)), one)
-    return tables
-
-
 def _step_map(sys, tau, h):
     """One RK4 step of the flow from timer tau as x+ = T_x x + T_v v, with
     v = (x(t - h_c), x(t + h/2 - h_c), x(t + h - h_c), w(t), w(t + h/2),
@@ -538,6 +538,30 @@ def _step_map(sys, tau, h):
     k4 = flow(2, base + h * k3)
     T = base + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return T[:, :n], T[:, n:]
+
+
+def _step_maps(sysv, h, mode, i, tau, dt, cut):
+    """The step maps of a run stacked as (T_x, T_v), and the index of each
+    step's map: per mode the full step (one per step index i when the flow
+    depends on the timer), then the partial steps (``cut``) from timer tau
+    over dt, from one batched evaluation of the polynomial for a constant
+    flow."""
+    TX, TV, index = [], [], np.empty(len(mode), dtype=int)
+    for md in np.unique(mode).tolist():
+        m, base = sysv[md], sum(map(len, TX))
+        full, part = (mode == md) & ~cut, np.flatnonzero((mode == md) & cut)
+        if m.flow_degree:
+            maps = [_step_map(m, q * h, h) for q in range(int(i[full].max(initial=0)) + 1)]
+            maps += map(functools.partial(_step_map, m), tau[part].tolist(), dt[part].tolist())
+            Tx, Tv = (np.array(T) for T in zip(*maps))
+            index[full] = base + i[full]
+        else:
+            Tx, Tv = _poly_map(_step_poly(m), np.concatenate([[h], dt[part]])[:, None, None])
+            index[full] = base
+        index[part] = base + len(Tx) - len(part) + np.arange(len(part))
+        TX.append(Tx)
+        TV.append(Tv)
+    return np.concatenate(TX), np.concatenate(TV), index
 
 
 def _step_poly(sys):
@@ -565,10 +589,11 @@ def _step_poly(sys):
 
 
 def _poly_map(C, h):
-    """The step map of coefficients C at step h, split as (T_x, T_v)."""
+    """The step map of coefficients C at step h, split as (T_x, T_v); an
+    array of m steps shaped (m, 1, 1) gives a stack of m maps."""
     T = functools.reduce(lambda T, c: T * h + c, C[::-1])
     n = C.shape[1]
-    return T[:, :n], T[:, n:]
+    return T[..., :n], T[..., n:]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ stand for."""
 import copy
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_too_many_intervals_is_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: horizon 1e+09 spans up to 2e+09 dwell intervals of 0.5; "
         "at most 10,000,000 are simulated\n")
+    assert not csv.exists()
+
+
+def test_too_many_rows_is_an_error_line(tmp_path, capsys):
+    csv = tmp_path / "trace.csv"
+    start = time.perf_counter()
+    assert cli.main(["simulate", _fixture("stable_toy"), "--seq", "gen:1", "--horizon", "1e5",
+                     "--step", "1e-4", "--out", str(csv)]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "error: horizon 100000 at step 0.0001 takes up to 1e+09 rows; "
+        "at most 1,000,000 are simulated\n")
     assert not csv.exists()
 
 

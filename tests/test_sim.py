@@ -9,6 +9,7 @@ the analysis modules.
 
 import hashlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -211,21 +212,25 @@ def test_timer_dependent_flow_matches_the_closed_form():
     assert np.max(np.abs(tr.x[:, 0] - exact) / exact) < 2e-7  # RK4 at step 0.05
 
 
-def test_exact_gain_observer_run_is_pinned():
-    """Synthesized gains evaluated exactly along the timer (a
-    TimerFunction flow); final samples pinned from a reference run."""
+def _exact_gain_run():
     plant = systems.range_observer_plant()
     g = observer.synthesize_range(plant, RANGE_DT, observer.CONSTANT)
     seq = sim.gen_sequence(RANGE_DT, 12.0, 3)
     phi0 = lambda s: np.array([0.5, 0.25])
     one = lambda _: np.array([1.0])
     minus_one = lambda _: np.array([-1.0])
-    tr = sim.simulate_with_observer(
+    return sim.simulate_with_observer(
         plant, g, seq, w_c=lambda t: np.array([np.sin(t)]),
         w_d=lambda k: np.array([0.25]), phi0=phi0,
         phi0_minus=lambda s: phi0(s) - 0.25, phi0_plus=lambda s: phi0(s) + 0.25,
         horizon=12.0, step=0.05, w_c_bounds=(minus_one, one),
         w_d_bounds=(minus_one, one))
+
+
+def test_exact_gain_observer_run_is_pinned():
+    """Synthesized gains evaluated exactly along the timer (a
+    TimerFunction flow); final samples pinned from a reference run."""
+    tr = _exact_gain_run()
     assert (len(tr.t), len(tr.jumps)) == (256, 30)
     assert tr.x[-1] == pytest.approx([0.282716726228959, 0.11064076469521918], rel=1e-12)
     assert tr.xminus[-1] == pytest.approx([-0.6334947913424794, -0.29963928677491214], rel=1e-12)
@@ -306,6 +311,20 @@ def test_blowup_is_a_simulation_error_when_warnings_are_errors():
                      w_d=lambda k: np.array([1e300]) * 1e300)
 
 
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_divergence_at_a_jump_inside_a_chunk_is_a_simulation_error(action):
+    """The second jump overflows.  With h_c = 5 and the default step all ten
+    intervals lie in one chunk, so the jump is applied mid-chunk, and the
+    error names its time with and without RuntimeWarnings as errors."""
+    s = delay.DelaySystem.build(A=[[-1.0]], J=[[1e200]], h_c=5.0, phi0=lambda s: np.array([1.0]))
+    h = sim._adjust_step(0.3 / 16.0, 5.0, 0.3)
+    assert 2.5 / h + 10 < round(5.0 / h) - 1  # every step of the run in the first chunk
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(sim.SimulationError, match=r"non-finite at t=0\.6$"):
+            sim.simulate(s, sim.DwellSequence.build([0.3] * 10), horizon=2.5)
+
+
 def test_non_finite_horizon_is_rejected():
     s = scalar_decay()
     for horizon in (np.inf, np.nan):
@@ -331,6 +350,16 @@ def test_interval_count_is_capped_before_allocating(make, shortest):
             make(horizon)
         assert time.perf_counter() - start < 0.5
     assert sum(make(3.0).dwells) >= 3.0
+
+
+def test_row_count_is_capped_before_allocating():
+    toy = delay.DelaySystem.build(A=[[-1.0]], Cc=[[1.0]], h_c=1.0)
+    seq = sim.gen_sequence(core.Range(0.5, 1.5), 1e5, 1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^horizon 100000 at step 0\.0001 takes up to 1e\+09 "
+                                         r"rows; at most 1,000,000 are simulated$"):
+        sim.simulate(toy, seq, horizon=1e5, step=1e-4)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_trajectory_nonnegative_on_positive_fixture():
@@ -437,6 +466,12 @@ def _plain_pinned_run():
                         w_c=lambda t: np.array([np.sin(t)]), horizon=20.0)
 
 
+def _min_observer_pinned_run():
+    """h_d = 4, and a chunk of 49 steps spans several dwell intervals."""
+    return _min_observer_run(np.array(systems.MIN_OBSERVER["L_c"]),
+                             np.array(systems.MIN_OBSERVER["L_d"]), 30.0)
+
+
 def _switched_observer_pinned_run():
     plant = systems.power_control()
     L = np.array(systems.POWER_CONTROL["L"], dtype=float)
@@ -452,8 +487,7 @@ def _switched_observer_pinned_run():
 # chunk at a time, sampling inputs and history per chunk, produced them
 ROW_TIMES = {
     "plain": ("ce5a9e709c186db1", _plain_pinned_run),
-    "observer": ("cb726cd8dff2530b", lambda: _min_observer_run(np.array(systems.MIN_OBSERVER["L_c"]),
-                                               np.array(systems.MIN_OBSERVER["L_d"]), 30.0)),
+    "observer": ("cb726cd8dff2530b", _min_observer_pinned_run),
     "switched_observer": ("04017f3be1cbd3eb", _switched_observer_pinned_run),
 }
 
@@ -463,6 +497,63 @@ def test_row_times_are_unchanged(name):
     digest, run = ROW_TIMES[name]
     tr = run()
     assert hashlib.sha256(tr.t.tobytes()).hexdigest()[:16] == digest
+
+
+def _timer_flow_pinned_run():
+    """A(tau) = A0 + tau A1 with delayed coupling, inputs, outputs and a
+    pre-jump read two jumps back; the dwells leave a partial last step."""
+    s = delay.DelaySystem.build(
+        A=core.TimerMatrixFunction([[[-1.0, 0.3], [0.2, -1.5]], [[0.5, 0.0], [0.1, 0.4]]]),
+        Gc=[[0.2, 0.0], [0.1, 0.1]], Ec=[[1.0], [0.5]], Cc=[[1.0, 0.5]], Hc=[[0.3, 0.1]],
+        Fc=[[0.2]], J=[[0.6, 0.1], [0.0, 0.7]], Gd=[[0.1, 0.0], [0.0, 0.1]], Ed=[[0.3], [0.1]],
+        Cd=[[0.5, 1.0]], Hd=[[0.2, 0.0]], Fd=[[0.4]], h_c=1.0, h_d=2,
+        phi0=lambda s: np.array([1.0 + s, 0.5]))
+    return sim.simulate(s, sim.gen_sequence(core.Range(0.6, 1.4), 8.0, 5),
+                        w_c=lambda t: np.array([np.sin(t)]), w_d=lambda k: np.array([1.0 / k]),
+                        horizon=8.0, step=0.05)
+
+
+def _step_equal_to_delay_pinned_run():
+    """Step h = h_c: every chunk is one step and ends at a row a jump may
+    follow.  Output rows with one term each keep z_c exact whatever order
+    the matrix product sums in."""
+    s = delay.DelaySystem.build(
+        A=[[-1.0, 0.5], [0.2, -2.0]], Gc=[[0.3, 0.0], [0.1, 0.2]], Ec=[[1.0], [0.5]],
+        Cc=[[1.0, 0.0], [0.0, 0.0]], Hc=[[0.0, 0.0], [0.0, 0.5]], J=[[0.5, 0.0], [0.1, 0.4]],
+        Ed=[[0.2], [0.2]], Cd=[[1.0, 0.5]], h_c=0.25, phi0=lambda s: np.array([1.0, 0.5 - s]))
+    return sim.simulate(s, sim.gen_sequence(core.Range(1.0, 1.6), 10.0, 2),
+                        w_c=lambda t: np.array([np.cos(t)]), w_d=lambda k: np.array([0.5]),
+                        horizon=10.0, step=0.25)
+
+
+# sha256 prefixes of the bytes of trace.x, trace.z_c, trace.z_d and the
+# stacked post-jump states, as the engine that stepped each dwell interval
+# in its own chunks produced them
+TRACES = {
+    "plain": (("3da615c8ebd3562f", "3da615c8ebd3562f", "ef115a0e0c15cdc4", "ef115a0e0c15cdc4"),
+              _plain_pinned_run),
+    "observer": (("8d9d231927214185", "b8ab5b34f3e03d15", "e3b0c44298fc1c14", "6fab8f5940f38e77"),
+                 _min_observer_pinned_run),
+    "switched_observer": (("8097672bdd708447", "a663d8b9b47d26e6", "e3b0c44298fc1c14",
+                           "3c92cf9ebab82d43"), _switched_observer_pinned_run),
+    "timer_flow": (("f1e7140945b716e1", "e82ee3782f212fe5", "abf9bb544e241ee9", "041cac054b2cc200"),
+                   _timer_flow_pinned_run),
+    "exact_gain": (("eb614dbf60ab8878", "65d7595ebda129cf", "e3b0c44298fc1c14", "d52e0abe50e191c9"),
+                   _exact_gain_run),
+    "step_equal_to_delay": (("016599f5e379ecf6", "db619a7d1a2e51b6", "0f610602bb9ce0fc",
+                             "24d9f2738318e1c8"), _step_equal_to_delay_pinned_run),
+}
+
+
+def _trace_digests(tr):
+    post = np.array([j.x_post for j in tr.jumps])
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (tr.x, tr.z_c, tr.z_d, post))
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_traces_are_unchanged(name):
+    digests, run = TRACES[name]
+    assert _trace_digests(run()) == digests
 
 
 def _loop_schedule(seq, horizon, h):
