@@ -4,9 +4,10 @@ Programs are solved by the HiGHS dual simplex (Huangfu & Hall, Math. Prog.
 Comp. 10, 2018) that scipy bundles, loaded from its extension file so that
 ``scipy.optimize`` is never imported.  HiGHS is not trusted: optimal points
 are re-verified against the original rows, infeasibility carries Farkas
-multipliers that ``farkas_check`` validates against the variable box, and an
-unbounded ray is checked against every row.  ``dump`` gives a canonical text
-form for exact row-level comparison of differently-built programs.
+multipliers, read from the dual ray of the same run, that ``farkas_check``
+validates against the variable box, and an unbounded ray is checked against
+every row.  ``dump`` gives a canonical text form for exact row-level
+comparison of differently-built programs.
 
 Rows are kept as one coordinate list from :meth:`LinearProgram.add_rows`,
 which takes whole blocks, to the HiGHS column matrix, the checks and dump.
@@ -27,7 +28,8 @@ EQ = "=="
 _RELS = (LE, GE, EQ)
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
-# presolve stays off because its code pages add memory to every process;
+# presolve stays off because its code pages add memory to every process, and
+# so that an infeasible run's dual ray is in the original rows;
 # feasibility tolerances of 1e-10 keep optima inside certificates' 1e-8 reverify
 _HIGHS_OPTIONS = {"output_flag": False, "threads": 1, "presolve": "off",
                   "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -178,7 +180,6 @@ class LpUnbounded:
     ray: np.ndarray  # feasible improving direction in original variables
 
 
-
 def _highs_core():
     """HiGHS as bundled with scipy, loaded from its file under its own name,
     so that ``scipy.optimize`` shares it in either import order."""
@@ -256,8 +257,12 @@ def solve(lp: LinearProgram, feastol: float = 1e-8):
                               + "; ".join(str(v) for v in bad[:5]))
         out = LpSolution("optimal", x, lp.objective_value(x), lp.var_names)
     elif status in (codes.kInfeasible, codes.kUnboundedOrInfeasible):
-        extra.append("elastic")
-        out = _infeasible_outcome(lp, matrix, feastol)
+        rays = highs
+        if status == codes.kUnboundedOrInfeasible and not highs.getDualRayExist()[1]:
+            extra.append("zero cost")  # cannot be unbounded: optimal means feasible
+            rays = _run(np.zeros(lp.num_vars), *lp.bounds(), matrix, lp._rel, lp._rhs)
+        if rays.getModelStatus() != codes.kOptimal:
+            out = _infeasible_outcome(lp, rays, feastol)
     elif status != codes.kUnbounded:
         raise SolverError(f"HiGHS stopped with model status {highs.modelStatusToString(status)}")
     if out is None:
@@ -274,23 +279,18 @@ def solve(lp: LinearProgram, feastol: float = 1e-8):
     return out
 
 
-def _infeasible_outcome(lp, matrix, feastol):
-    """Farkas multipliers from the row duals of the always feasible elastic
-    program  min sum(s)  s.t.  a.x - s <= b,  a.x + s >= b,  a.x + s' - s'' == b,
-    s >= 0.  Returns None when its optimum is zero: the rows can be met."""
-    start, index, value = matrix
-    eq = np.nonzero(lp._rel == EQ)[0]
-    srow = np.concatenate([np.arange(lp.num_rows), eq]).astype(np.int32)
-    k = srow.size
-    elastic = (np.append(start, start[-1] + np.arange(1, k + 1, dtype=np.int32)), np.append(index, srow),
-               np.concatenate([value, np.where(lp._rel == LE, -1.0, 1.0), -np.ones(eq.size)]))
-    lb, ub = lp.bounds()
-    highs = _run(np.append(np.zeros(lp.num_vars), np.ones(k)), np.append(lb, np.zeros(k)),
-                 np.append(ub, np.full(k, np.inf)), elastic, lp._rel, lp._rhs, "elastic")
-    if highs.getInfo().objective_function_value <= feastol:
-        return None
-    y = np.array(highs.getSolution().row_dual)
-    u = np.where(lp._rel == GE, y, -y)
+def _infeasible_outcome(lp, highs, feastol):
+    """Farkas multipliers from the dual ray of the infeasible run or, when HiGHS stopped without
+    one before its first iteration, a unit weight on each unmet row with no non-zero term."""
+    _, found, y = highs.getDualRay()
+    if found:
+        u = np.where(lp._rel == GE, y, -y)
+    else:
+        blank = np.bincount(lp._row, weights=lp._val != 0.0, minlength=lp.num_rows) == 0
+        unmet = blank & (_row_excess(lp, np.zeros(lp.num_vars), lp._rhs) > 0.0)
+        if not unmet.any():
+            raise SolverError("HiGHS found the rows infeasible but gave no dual ray")
+        u = np.where(unmet, np.where(lp._rel == EQ, -np.sign(lp._rhs), 1.0), 0.0)
     u[np.abs(u) < 1e-12] = 0.0
     valid, margin = farkas_check(lp, u, feastol)
     if not valid:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from posimp import lp
+from posimp import certify, core, lp
+from systems import uncertain_impulsive
 
 
 def test_min_over_halfline():
@@ -22,13 +23,20 @@ def test_min_over_halfline():
     assert out.objective == pytest.approx(2.0, abs=1e-9)
 
 
-def test_contradictory_pair_gives_multipliers():
+def _contradictory_pair():
     p = lp.LinearProgram()
     x = p.add_var("x")
     p.add_row("up", {x: 1.0}, lp.LE, 1.0)
     p.add_row("lo", {x: 1.0}, lp.GE, 2.0)
+    return p
+
+
+def test_contradictory_pair_gives_multipliers(monkeypatch):
+    p = _contradictory_pair()
+    runs = _count_runs(monkeypatch)
     out = lp.solve(p)
     assert out.status == "infeasible"
+    assert len(runs) == 1  # the multipliers come from the run's own dual ray
     assert np.all(out.farkas >= 0.0)
     ok, margin = lp.farkas_check(p, out.farkas)
     assert ok and margin > 0.0
@@ -36,13 +44,15 @@ def test_contradictory_pair_gives_multipliers():
     assert names == {"up", "lo"}
 
 
-def test_unbounded_free_variable():
+def test_unbounded_free_variable(monkeypatch):
     p = lp.LinearProgram()
     x = p.add_var("x")
     p.set_objective({x: -1.0})
+    runs = _count_runs(monkeypatch)
     out = lp.solve(p)
     assert out.status == "unbounded"
     assert out.ray[0] > 0.0
+    assert len(runs) == 2  # the ray program follows
 
 
 def test_unbounded_with_rows_ray_is_feasible_direction():
@@ -270,10 +280,12 @@ def _oracle(A, rels, b, c, bounds):
 
 # With presolve on, HiGHS calls these feasible, unbounded programs infeasible.
 _PRESOLVE_MISLABELS = (674, 783, 1201, 2148)
+# The first draws whose rows all lack a non-zero term: HiGHS leaves no dual ray.
+_NO_RAY = (1375, 1395, 1469, 1634)
 
 
 @pytest.mark.parametrize("seed", [*range(60), *(pytest.param(s - 1000, id=f"rng{s}")
-                                               for s in _PRESOLVE_MISLABELS)])
+                                               for s in _PRESOLVE_MISLABELS + _NO_RAY)])
 def test_against_scipy(seed):
     rng = np.random.default_rng(1000 + seed)
     p, A, rels, b, c, bounds = _random_program(rng)
@@ -294,7 +306,8 @@ def test_against_scipy(seed):
 
 
 def test_degenerate_many_ties_terminates():
-    # many duplicated rows through the same vertex: stresses the Bland fallback
+    # many duplicated rows through the same vertex: a degenerate vertex the
+    # simplex must leave without cycling
     p = lp.LinearProgram()
     xs = [p.add_var(f"x{j}", lb=0.0) for j in range(6)]
     for i in range(40):
@@ -351,7 +364,7 @@ def test_infeasible_program_with_improving_direction_is_infeasible():
 def test_infeasible_equality_row_with_free_variable(rhs, rel, sign):
     # x free, y in [0, 1]; the conflict needs the equality row with a
     # negative multiplier in one case and a positive one in the other, so
-    # both elastic slacks of that row are exercised
+    # both signs of an equality row's multiplier are exercised
     p = lp.LinearProgram()
     x = p.add_var("x")
     y = p.add_var("y", lb=0.0, ub=1.0)
@@ -385,7 +398,95 @@ def test_one_debug_line_per_solve(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "posimp.lp"]
     assert len(lines) == 1
     assert lines[0].startswith("logged: HiGHS Infeasible after ")
-    assert "simplex iterations; extra program: elastic" in lines[0]
+    assert "simplex iterations; extra program: none" in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# infeasibility from the one HiGHS run: its dual ray, or rows without a term
+
+class _NoRay:
+    """A HiGHS run that reports ``status`` and holds no dual ray."""
+
+    def __init__(self, highs, status):
+        self._highs, self._status = highs, status
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getModelStatus(self):
+        return self._status
+
+    def getDualRayExist(self):
+        return self._highs.getDualRayExist()[0], False
+
+    def getDualRay(self):
+        status, _, y = self._highs.getDualRay()
+        return status, False, np.zeros_like(y)
+
+
+def _count_runs(monkeypatch, first_status=None):
+    """The list of HiGHS runs ``lp.solve`` makes from here on.  With
+    ``first_status`` (a HighsModelStatus name) the first run reports that
+    status and no dual ray."""
+    runs, run = [], lp._run
+
+    def counted(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        if first_status and len(runs) == 1:
+            return _NoRay(runs[0], getattr(lp._highs_core().HighsModelStatus, first_status))
+        return runs[-1]
+    monkeypatch.setattr(lp, "_run", counted)
+    return runs
+
+
+@pytest.mark.parametrize("terms, rel, rhs, weight", [
+    ({}, lp.LE, -1.0, 1.0), ({}, lp.GE, 1.0, 1.0), ({}, lp.EQ, 2.0, -1.0),
+    ({}, lp.EQ, -2.0, 1.0), ([(0, 1.0), (0, -1.0)], lp.EQ, 1.0, -1.0)])
+def test_unmet_row_without_a_term_is_the_conflict(terms, rel, rhs, weight):
+    # HiGHS stops before its first iteration on these programs and leaves no
+    # dual ray; the row itself, with a unit weight, proves infeasibility
+    p = lp.LinearProgram()
+    p.add_var("x", lb=0.0)
+    p.add_row("blank", terms, rel, rhs)
+    out = lp.solve(p)
+    assert out.status == "infeasible"
+    ok, margin = lp.farkas_check(p, out.farkas)
+    assert ok and margin > 0.0
+    assert out.rows_used == [("blank", weight)]
+
+
+def test_unbounded_or_infeasible_without_a_ray_resolves_the_rows(monkeypatch):
+    # the zero-cost run finds the rows infeasible and gives its own ray
+    runs = _count_runs(monkeypatch, "kUnboundedOrInfeasible")
+    p = _contradictory_pair()
+    out = lp.solve(p)
+    assert out.status == "infeasible"
+    ok, margin = lp.farkas_check(p, out.farkas)
+    assert ok and margin > 0.0
+    assert len(runs) == 2
+    # the zero-cost run is optimal: the rows can be met, so the ray program runs
+    runs = _count_runs(monkeypatch, "kUnboundedOrInfeasible")
+    p = lp.LinearProgram()
+    x = p.add_var("x", lb=0.0)
+    p.add_row("lo", {x: 1.0}, lp.GE, 1.0)
+    p.set_objective({x: -1.0})
+    out = lp.solve(p)
+    assert out.status == "unbounded" and out.ray[0] > 0.0
+    assert len(runs) == 3
+
+
+def test_infeasible_without_a_ray_or_a_blank_row_is_an_error(monkeypatch):
+    _count_runs(monkeypatch, "kInfeasible")
+    with pytest.raises(lp.SolverError, match="gave no dual ray"):
+        lp.solve(_contradictory_pair())
+
+
+def test_infeasible_certificate_takes_one_highs_run(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    out = certify.certify_min(uncertain_impulsive(), core.Minimum(0.3),
+                              options=certify.CertifyOptions(n_nodes=5))
+    assert isinstance(out, certify.Infeasible) and out.margin > 0.0
+    assert len(runs) == 1
 
 
 def test_missing_highs_extension_names_the_scipy_version(monkeypatch):
