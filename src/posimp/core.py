@@ -75,6 +75,15 @@ class TimerMatrixFunction:
 
     __call__ = eval
 
+    def at(self, taus) -> np.ndarray:
+        """:meth:`eval` at every tau of ``taus`` in one Horner pass of the
+        same float operations: shape (len(taus), m, n), or (1, m, n) for a
+        constant, whose one (read-only) coefficient holds at every tau."""
+        out, t = self.coeffs[-1][None], np.asarray(taus, dtype=float).reshape(-1, 1, 1)
+        for c in reversed(self.coeffs[:-1]):
+            out = out * t + c
+        return out
+
     def derivative(self) -> "TimerMatrixFunction":
         if self.is_constant:
             return TimerMatrixFunction([np.zeros(self.shape)])

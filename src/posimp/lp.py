@@ -11,6 +11,9 @@ comparison of differently-built programs.
 
 Rows are kept as one coordinate list from :meth:`LinearProgram.add_rows`,
 which takes whole blocks, to the HiGHS column matrix, the checks and dump.
+Blocks are appended as they come and merged once, when the rows are first
+read.  Each thread solves on one HiGHS instance of its own, set up once;
+the run state it holds is valid until that thread's next run.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass
 import numpy as np
 
@@ -33,6 +37,7 @@ _HIGHS_CORE = "scipy.optimize._highspy._core"
 # feasibility tolerances of 1e-10 keep optima inside certificates' 1e-8 reverify
 _HIGHS_OPTIONS = {"output_flag": False, "threads": 1, "presolve": "off",
                   "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_THREAD = threading.local()  # .highs: this thread's instance, with the options set
 
 
 class SolverError(RuntimeError):
@@ -55,7 +60,9 @@ class LinearProgram:
     for reporting and for the canonical dump.  Coefficient k puts ``_val[k]``
     on variable ``_col[k]`` in row ``_row[k]``, sorted by row, then variable,
     at most once per pair; ``_names``, ``_rel`` and ``_rhs`` are per row.
-    Instances are treated as immutable once handed to :func:`solve`.
+    :meth:`add_rows` appends a block to the pending ones; the first read of
+    these arrays merges every pending block in one pass.  Instances are
+    treated as immutable once handed to :func:`solve`.
     """
 
     def __init__(self, name: str = "lp"):
@@ -64,27 +71,31 @@ class LinearProgram:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._names: list[str] = []
-        self._rel = np.zeros(0, dtype="<U2")
-        self._rhs = np.zeros(0)
-        self._row = np.zeros(0, dtype=np.int64)
-        self._col = np.zeros(0, dtype=np.int64)
-        self._val = np.zeros(0)
+        self._coo = (np.zeros(0, np.int64),) * 2 + (np.zeros(0), np.zeros(0, "<U2"), np.zeros(0))
+        self._pending: list[tuple] = []  # blocks of the five _merged arrays
         self._obj: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # construction
+    def add_vars(self, names, lb=None, ub=None) -> np.ndarray:
+        """One variable per entry of ``names``; ``lb`` and ``ub`` are one
+        bound or one per variable, None for none.  Returns the indices."""
+        names = list(names)
+        l, u = (np.full(len(names), none if b is None else b, dtype=float)
+                for b, none in ((lb, -np.inf), (ub, np.inf)))
+        open_ = (l < np.inf) & (u > -np.inf)  # false for a NaN bound too
+        for i in np.flatnonzero(~open_ | (l > u))[:1]:  # the first bad variable
+            name, li, ui = names[i], float(l[i]), float(u[i])
+            raise ValueError(f"variable {name}: lower bound {li} exceeds upper bound {ui}"
+                             if open_[i] else f"variable {name}: bounds must not be NaN, a lower "
+                             f"bound +inf or an upper bound -inf, got [{li}, {ui}]")
+        self._var_names += names
+        self._lb += l.tolist()
+        self._ub += u.tolist()
+        return np.arange(self.num_vars - len(names), self.num_vars)
+
     def add_var(self, name: str, lb: float | None = None, ub: float | None = None) -> int:
-        l = -np.inf if lb is None else float(lb)
-        u = np.inf if ub is None else float(ub)
-        if not (l < np.inf and u > -np.inf):  # false for a NaN bound too
-            raise ValueError(f"variable {name}: bounds must not be NaN, a lower bound +inf "
-                             f"or an upper bound -inf, got [{l}, {u}]")
-        if l > u:
-            raise ValueError(f"variable {name}: lower bound {l} exceeds upper bound {u}")
-        self._var_names.append(name)
-        self._lb.append(l)
-        self._ub.append(u)
-        return len(self._var_names) - 1
+        return int(self.add_vars([name], lb, ub)[0])
 
     def add_rows(self, names, rows, cols, vals, rel: str, rhs) -> None:
         """Add one row per entry of ``names``, all with relation ``rel``.
@@ -103,7 +114,7 @@ class LinearProgram:
         if not rows.ndim == 1 or rows.shape != cols.shape or rows.shape != vals.shape:
             raise ValueError(f"rows, cols and vals must be 1-d and of one length, got shapes "
                              f"{rows.shape}, {cols.shape}, {vals.shape}")
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (len(names),))
+        rhs = np.full(len(names), rhs, dtype=float)
         bad = np.flatnonzero((rows < 0) | (rows >= len(names)))
         if bad.size:
             raise IndexError(f"row index {rows[bad[0]]} out of range for {len(names)} rows")
@@ -111,15 +122,24 @@ class LinearProgram:
         if k.size:
             raise IndexError(f"row {names[rows[k[0]]]}: variable index {cols[k[0]]} out of range")
         hit = vals != 0.0
-        n = max(self.num_vars, 1)
-        key, at = np.unique(rows[hit] * n + cols[hit], return_inverse=True)
-        # bincount adds in input order, starting from 0.0
-        self._val = np.append(self._val, np.bincount(at, weights=vals[hit], minlength=key.size))
-        self._row = np.append(self._row, self.num_rows + key // n)
-        self._col = np.append(self._col, key % n)
+        self._pending.append((self.num_rows + rows[hit], cols[hit], vals[hit],
+                              np.full(len(names), rel), rhs))
         self._names += names
-        self._rel = np.append(self._rel, np.full(len(names), rel))
-        self._rhs = np.append(self._rhs, rhs)
+
+    def _merged(self) -> tuple:
+        """The stored rows, after merging the pending blocks into them."""
+        if self._pending:
+            row, col, val, rel, rhs = map(np.concatenate, zip(*self._pending))
+            n = max(self.num_vars, 1)
+            key, at = np.unique(row * n + col, return_inverse=True)
+            # bincount adds in input order, starting from 0.0; blocks hold
+            # rows after all merged ones, so appending keeps the row order
+            block = (key // n, key % n, np.bincount(at, weights=val, minlength=key.size), rel, rhs)
+            self._coo = tuple(map(np.concatenate, zip(self._coo, block)))
+            self._pending = []
+        return self._coo
+
+    _row, _col, _val, _rel, _rhs = (property(lambda p, k=k: p._merged()[k]) for k in range(5))
 
     def add_row(self, name: str, coeffs, rel: str, rhs: float) -> int:
         """One row from a {variable: coefficient} dict or (variable,
@@ -201,11 +221,16 @@ def _highs_core():
 
 
 def _run(cost, col_lower, col_upper, matrix, rels, rhs, program=None):
-    """Run HiGHS on  min cost.x  s.t.  matrix.x (rels) rhs,  x in the box."""
+    """Run HiGHS on  min cost.x  s.t.  matrix.x (rels) rhs,  x in the box,
+    on this thread's instance; its status, solution and rays are this run's
+    until the thread's next run."""
     h = _highs_core()
-    highs = h._Highs()
-    for key, val in _HIGHS_OPTIONS.items():
-        highs.setOptionValue(key, val)
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = h._Highs()
+        for key, val in _HIGHS_OPTIONS.items():
+            highs.setOptionValue(key, val)
+    highs.clearModel()
     if highs.passModel(cost.size, rhs.size, matrix[1].size, int(h.MatrixFormat.kColwise),
                        int(h.ObjSense.kMinimize), 0.0, cost, col_lower, col_upper,
                        np.where(rels == LE, -np.inf, rhs), np.where(rels == GE, np.inf, rhs),
@@ -247,6 +272,12 @@ def solve(lp: LinearProgram, feastol: float = 1e-8):
     cost[list(lp._obj)] = list(lp._obj.values())
     highs = _run(cost, *lp.bounds(), matrix, lp._rel, lp._rhs)
     status, codes = highs.getModelStatus(), _highs_core().HighsModelStatus
+    # DEBUG is off until something imports logging (importing it here costs every
+    # process half a megabyte); the line reports this run, read before the next
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger(__name__)
+    first = log and log.isEnabledFor(logging.DEBUG) and (
+        highs.modelStatusToString(status), highs.getInfo().simplex_iteration_count)
     extra, out = [], None
     if status == codes.kOptimal:
         x = np.array(highs.getSolution().col_value)
@@ -268,14 +299,9 @@ def solve(lp: LinearProgram, feastol: float = 1e-8):
     if out is None:
         extra.append("ray")
         out = _unbounded_outcome(lp, matrix, cost, feastol)
-    # DEBUG can only be on once something has imported logging; importing
-    # it here would cost every process half a megabyte
-    logging = sys.modules.get("logging")
-    log = logging and logging.getLogger(__name__)
-    if log and log.isEnabledFor(logging.DEBUG):
+    if first:
         log.debug("%s: HiGHS %s after %d simplex iterations; extra program: %s",
-                  lp.name, highs.modelStatusToString(status),
-                  highs.getInfo().simplex_iteration_count, ", ".join(extra) or "none")
+                  lp.name, *first, ", ".join(extra) or "none")
     return out
 
 

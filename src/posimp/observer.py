@@ -300,21 +300,24 @@ class Synthesis(rows.DecayProgram):
             suffixes, y = [f"@{rows.fmt(t)}" for t in at], blk.yc_idx
         else:
             at, suffixes, y = [0.0], [""], blk.yd_idx
-        weights = pwl.hat_matrix(self.nodes, at)
-        F = np.concatenate([np.stack([M(t) if callable(M) else M for t in at])
+        weights, S, n = pwl.hat_matrix(self.nodes, at), len(at), blk.n
+        F = np.concatenate([np.broadcast_to(M.at(at) if callable(M) else M, (S,) + M.shape)
                             for _, M, _ in blocks], axis=2)
         C = np.concatenate([Cb for _, _, Cb in blocks], axis=1)
-        cols = [f"{name}[{{}},{j}]" for name, _, Cb in blocks for j in range(Cb.shape[1])]
-        groups = []
-        for i in range(blk.n):
-            terms = [(blk.x_idx[i:i + 1], weights, F[:, i:i + 1]),
-                     rows.resolve((y[i], -C), at, weights, len(cols))]
-            if flow:  # alpha on the diagonal of X A
-                terms.append(rows.resolve((self.alpha, np.eye(1, len(cols), i)[0]), at, weights,
-                                          len(cols)))
-            groups.append(([c.format(i) for c in cols], terms, np.zeros(len(cols)),
-                           ~((F[:, i] >= 0.0) & ~C.any(axis=0))))
-        rows.emit(self.p, blk.tag + "pos:", suffixes, groups, lp.GE)
+        # one column per (state i, block column j), i-major: row i of X F - Y C
+        cols = [f"{name}[{i},{j}]" for i in range(n) for name, _, Cb in blocks
+                for j in range(Cb.shape[1])]
+        XF = np.zeros((S, n, n, C.shape[1]))
+        XF[:, range(n), range(n)] = F  # x_r weighs F[i] in the columns of state i = r
+        terms = [(blk.x_idx, weights, XF.reshape(S, n, len(cols))),
+                 rows.resolve((y.reshape((-1,) + y.shape[2:]), np.kron(np.eye(n), -C)), at,
+                              weights, len(cols))]
+        if flow:  # alpha on the diagonal of X A
+            terms.append(rows.resolve((self.alpha, np.eye(n, C.shape[1]).ravel()), at, weights,
+                                      len(cols)))
+        keep = ~((F >= 0.0) & ~C.any(axis=0)).reshape(S, len(cols))
+        rows.emit(self.p, blk.tag + "pos:", suffixes,
+                  [(cols, terms, np.zeros(len(cols)), keep)], lp.GE)
 
     # -- decay block -----------------------------------------------------------
     def flow_groups(self, blk: _Block, A, Gc, Ec, C_y, H_y, F_y, sumM, *, folded: bool):

@@ -69,10 +69,14 @@ class PwlArray:
         return self.values.shape[:-1]
 
     def eval(self, tau: float) -> np.ndarray:
-        weights = hat_matrix(self.nodes, [tau])[0]
+        """The values at ``tau``: :func:`hat_matrix` weights, same float operations."""
+        nodes = self.nodes
+        k = int(nodes[1:-1].searchsorted(tau, side="right"))
+        s = min(max((tau - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0), 1.0)
         out = np.zeros(self.shape)
-        for i in np.flatnonzero(weights):
-            out += weights[i] * self.values[..., i]
+        for i, w in ((k, 1.0 - s), (k + 1, s)):
+            if w != 0.0:
+                out += w * self.values[..., i]
         return out
 
 

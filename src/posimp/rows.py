@@ -23,7 +23,7 @@ numpy product per term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, product
 import numpy as np
 
 from . import core, lp, pwl
@@ -39,9 +39,9 @@ def fmt(t: float) -> str:
 def add_vars(p: lp.LinearProgram, name: str, shape, lb=None, ub=None) -> np.ndarray:
     """A family of new variables; ``name`` is formatted with each index.
     ``lb`` is one lower bound or an array of them broadcast to ``shape``."""
-    lbs = np.broadcast_to(-np.inf if lb is None else lb, shape)
-    return np.array([p.add_var(name.format(*ix), lb=lbs[ix], ub=ub) for ix in np.ndindex(*shape)],
-                    dtype=np.int64).reshape(shape)
+    names = [name.format(*ix) for ix in product(*map(range, shape))]
+    return p.add_vars(names, None if lb is None else np.broadcast_to(lb, shape).ravel(),
+                      ub).reshape(shape)
 
 
 def emit(p: lp.LinearProgram, prefix: str, suffixes, groups, rel: str = lp.LE) -> None:
@@ -51,41 +51,48 @@ def emit(p: lp.LinearProgram, prefix: str, suffixes, groups, rel: str = lp.LE) -
     (variables (m, K), weights (S or 1, K), coefficients (S or 1, m, ncols))
     and puts weights[s, k] * coefficients[s, r, j] on variables[r, k] in
     the row of sample s and column j.  ``keep`` (S, ncols), when not None,
-    selects the rows.
+    selects the rows.  Every column has one zero-padded slot per variable
+    of its group's terms, and the products of each term fill their slots
+    of one (S, all columns, slots) array, so the entries of a row come in
+    (term, variable row, node) order; a term with one sample of weights
+    and coefficients fills every sample.
     """
     S = len(suffixes)
     keep = np.concatenate([np.ones((S, len(cols)), dtype=bool) if k is None else k
                            for cols, _, _, k in groups], axis=1)
     number = np.cumsum(keep).reshape(keep.shape) - 1  # (sample, column) -> row, once kept
-    row, var, val, first = [], [], [], 0
+    slots = max((sum(f.size for f, _, _ in terms) for _, terms, _, _ in groups), default=0)
+    vals = np.zeros((S, keep.shape[1], slots))
+    var = np.zeros((keep.shape[1], slots), dtype=np.int64)
+    first = 0
     for cols, terms, _, _ in groups:
-        n = len(cols)
-        vals = np.concatenate([
-            np.broadcast_to(np.swapaxes(c, 1, 2)[..., None] * w[:, None, None, :],
-                            (S, n) + f.shape).reshape(S, n, f.size)
-            for f, w, c in terms], axis=2)
-        # zero products of kept rows are left out here already to keep the arrays small
-        hit = (vals != 0.0) & keep[:, first:first + n, None]
-        s, j, k = np.nonzero(hit)
-        row.append(number[s, first + j])
-        var.append(np.concatenate([t[0].ravel() for t in terms])[k])
-        val.append(vals[hit])
+        n, a = len(cols), 0
+        for f, w, c in terms:
+            prod = np.swapaxes(c, 1, 2)[..., None] * w[:, None, None, :]
+            vals[:, first:first + n, a:a + f.size] = prod.reshape(len(prod), n, f.size)
+            var[first:first + n, a:a + f.size] = f.ravel()
+            a += f.size
         first += n
+    hit = (vals != 0.0) & keep[:, :, None]  # zero products and padding are left out
+    s, j, k = np.nonzero(hit)
     names = [f"{prefix}{col}{suffix}" for suffix in suffixes for cols, _, _, _ in groups
              for col in cols]
-    p.add_rows(compress(names, keep.ravel()), np.concatenate(row), np.concatenate(var),
-               np.concatenate(val), rel,
+    p.add_rows(compress(names, keep.ravel()), number[s, j], var[j, k], vals[hit], rel,
                np.tile(np.concatenate([rhs for _, _, rhs, _ in groups]), S)[keep.ravel()])
 
 
 def resolve(term, at, weights, ncols: int):
     """A (family, coef[, weights]) term in the form :func:`emit` takes, with
-    callables evaluated and node-valued families interpolated at ``at``."""
+    node-valued families interpolated at ``at``.  A timer polynomial is
+    evaluated at all of ``at`` in one pass (a constant one, as every lft
+    flow block without a timer, is its one coefficient), any other
+    callable once per timer value."""
     family, coef, *own = term
     v = np.asarray(family)
     if v.ndim == 0:
-        return v.reshape(1, 1), _ONE, np.broadcast_to(np.asarray(coef, dtype=float), (1, 1, ncols))
-    c = np.stack([coef(t) for t in at]) if callable(coef) else np.asarray(coef, dtype=float)[None]
+        return v.reshape(1, 1), _ONE, np.full((1, 1, ncols), coef, dtype=float)
+    c = coef.at(at) if isinstance(coef, core.TimerMatrixFunction) else \
+        np.stack([coef(t) for t in at]) if callable(coef) else np.asarray(coef, dtype=float)[None]
     if v.ndim == 1:
         return v[:, None], _ONE, c
     return v, own[0] if own else weights, c

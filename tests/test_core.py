@@ -23,6 +23,17 @@ def test_timer_matrix_eval_and_derivative():
     assert core.TimerMatrixFunction.constant(np.eye(2)).derivative().eval(1.0).max() == 0.0
 
 
+@pytest.mark.parametrize("degree", range(4))
+def test_timer_matrix_at_equals_eval_bit_for_bit(degree):
+    rng = np.random.default_rng(degree)
+    F = core.TimerMatrixFunction(rng.normal(size=(degree + 1, 2, 3)))
+    taus = np.concatenate([rng.uniform(-2.0, 5.0, 20), [0.0, -0.0, 1.0, 1e-300]]).tolist()
+    got = F.at(taus)
+    assert got.shape == ((len(taus) if degree else 1), 2, 3)
+    assert np.broadcast_to(got, (len(taus), 2, 3)).tobytes() == \
+        np.stack([F.eval(t) for t in taus]).tobytes()
+
+
 def test_timer_matrix_algebra():
     A = core.TimerMatrixFunction([np.eye(2), 2 * np.eye(2)])  # I + 2 tau I
     B = A + np.ones((2, 2))

@@ -3,6 +3,7 @@ certificate invariants (Farkas multipliers, re-verification, determinism)."""
 
 import logging
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -212,6 +213,73 @@ def test_add_var_refuses_a_bound_no_value_meets(lb, ub):
     with pytest.raises(ValueError, match=r"^variable x\[2\]: bounds must not be NaN"):
         p.add_var("x[2]", lb=lb, ub=ub)
     assert p.num_vars == 0
+
+
+@pytest.mark.parametrize("lb, ub", [(np.inf, None), (np.inf, np.inf), (None, -np.inf),
+                                    (-np.inf, -np.inf), (np.nan, None), (0.0, np.nan),
+                                    (1.0, 0.0), (np.inf, 0.0)])
+def test_add_vars_refuses_what_add_var_refuses(lb, ub):
+    with pytest.raises(ValueError) as want:
+        lp.LinearProgram().add_var("v[1]", lb=lb, ub=ub)
+    p = lp.LinearProgram()
+    p.add_var("x")
+    # the first bad variable is named; v[2] is bad too, for another reason
+    lbs = [0.0, -np.inf if lb is None else lb, 2.0]
+    ubs = [1.0, np.inf if ub is None else ub, 1.0]
+    with pytest.raises(ValueError) as got:
+        p.add_vars(["v[0]", "v[1]", "v[2]"], lbs, ubs)
+    assert str(got.value) == str(want.value)
+    assert p.var_names == ["x"] and [a.tolist() for a in p.bounds()] == [[-np.inf], [np.inf]]
+
+
+def test_add_vars_takes_one_bound_or_one_per_variable():
+    p = lp.LinearProgram()
+    assert p.add_var("x", lb=-0.0) == 0
+    assert p.add_vars(["y", "z"], lb=[1.0, 2.0], ub=5.0).tolist() == [1, 2]
+    assert p.add_vars([]).size == 0
+    lb, ub = p.bounds()
+    assert lb.tobytes() == np.array([-0.0, 1.0, 2.0]).tobytes()
+    assert ub.tolist() == [np.inf, 5.0, 5.0]
+
+
+def _blocks(rng):
+    """Random add_rows blocks with repeated variables and cancelling pairs,
+    over three variables and from the third block on over four."""
+    out = []
+    for b in range(4):
+        m, k = int(rng.integers(1, 4)), int(rng.integers(0, 12))
+        rows, cols = rng.integers(0, m, size=k), rng.integers(0, 3 + (b >= 2), size=k)
+        vals = rng.choice([0.0, 1.0, -1.0, 0.1, 1 / 3], size=k)
+        rows, cols = np.append(rows, [0, 0]), np.append(cols, [0, 0])
+        vals = np.append(vals, [0.7, -0.7])
+        out.append(([f"b{b}r{i}" for i in range(m)], rows, cols, vals, lp.LE if b % 2 else lp.EQ,
+                    rng.normal(size=m)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reading_rows_between_blocks_keeps_the_program(seed):
+    # blocks added after a read are merged on the next read, as in one go
+    blocks = _blocks(np.random.default_rng(seed))
+    once, read = lp.LinearProgram(), lp.LinearProgram()
+    for p in (once, read):
+        for j in range(3):
+            p.add_var(f"x{j}")
+    for b, block in enumerate(blocks):
+        if b == 2:  # a variable added between reads widens the merge key
+            once.add_var("x3")
+            read.add_var("x3")
+        once.add_rows(*block)
+        read.add_rows(*block)
+        if b % 2:
+            lp.verify(read, np.zeros(read.num_vars))
+        else:
+            lp.dump(read)
+    assert lp.dump(read) == lp.dump(once)
+    assert _stored_rows(read) == _stored_rows(once)
+    # every block's cancelling pair on x0 stays an explicit 0.0 in its first row
+    assert [row[3][0] for row in _stored_rows(read) if row[0].endswith("r0")] == [0] * 4
+    assert lp.solve(read).status == lp.solve(once).status
 
 
 @pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf])
@@ -494,3 +562,88 @@ def test_missing_highs_extension_names_the_scipy_version(monkeypatch):
     monkeypatch.setattr(lp.os.path, "isfile", lambda path: False)
     with pytest.raises(ImportError, match=r"scipy \d+\.\d+"):
         lp._highs_core()
+
+
+# ---------------------------------------------------------------------------
+# one HiGHS instance per thread, reused from program to program
+
+def _certificate_programs(monkeypatch):
+    """The programs of two certificates: optimal (tbar 2.0), infeasible (tbar 0.3)."""
+    seen, solve = [], lp.solve
+    with monkeypatch.context() as m:
+        m.setattr(lp, "solve", lambda p, **kw: seen.append(p) or solve(p, **kw))
+        for tbar in (2.0, 0.3):
+            certify.certify_min(uncertain_impulsive(), core.Minimum(tbar),
+                                options=certify.CertifyOptions(n_nodes=7))
+    return seen
+
+
+def _recorded(monkeypatch):
+    """(model status, iteration count) of each HiGHS run from here on, read right after it."""
+    seen, run = [], lp._run
+
+    def recorded(*args, **kwargs):
+        highs = run(*args, **kwargs)
+        seen.append((highs.getModelStatus(), highs.getInfo().simplex_iteration_count))
+        return highs
+    monkeypatch.setattr(lp, "_run", recorded)
+    return seen
+
+
+def _outcome(p, seen=()):
+    """Status, point or multiplier bytes, and the runs recorded in ``seen`` meanwhile."""
+    first = len(seen)
+    out = lp.solve(p)
+    return out.status, (out.x if out.status == "optimal" else out.farkas).tobytes(), seen[first:]
+
+
+def test_reused_instance_repeats_each_outcome_bit_for_bit(monkeypatch):
+    a, b = _certificate_programs(monkeypatch)
+    seen = _recorded(monkeypatch)
+    first = [_outcome(p, seen) for p in (a, b)]
+    highs = lp._THREAD.highs
+    assert [o[0] for o in first] == ["optimal", "infeasible"]
+    assert all(len(o[2]) == 1 and o[2][0][1] > 0 for o in first)  # one run each, with pivots
+    assert [_outcome(p, seen) for p in (a, b, a)] == first + first[:1]
+    assert lp._THREAD.highs is highs
+
+
+def test_threads_solve_on_their_own_instances(monkeypatch):
+    # more threads than cores, switching often, each solving its program in a loop
+    a, b = _certificate_programs(monkeypatch)
+    want = [_outcome(p) for p in (a, b)]
+    start, got, instances = threading.Barrier(4), {}, {}
+
+    def work(i):
+        start.wait(timeout=60)
+        got[i] = [_outcome((a, b)[i % 2]) for _ in range(5)]
+        instances[i] = lp._THREAD.highs
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {i: [want[i % 2]] * 5 for i in range(4)}
+    assert len({id(h) for h in [*instances.values(), lp._THREAD.highs]}) == 5
+
+
+def test_debug_line_reports_the_first_run(monkeypatch, caplog):
+    # the zero-cost run and the ray program replace the state of the first
+    # run on the same instance
+    p, _ = _certificate_programs(monkeypatch)
+    p.set_objective({p.var_names.index("gamma"): -1.0})  # gamma has no upper bound
+    seen = _recorded(monkeypatch)
+    runs = _count_runs(monkeypatch, "kUnboundedOrInfeasible")
+    with caplog.at_level(logging.DEBUG, logger="posimp.lp"):
+        assert lp.solve(p).status == "unbounded"
+    assert len(runs) == 3 and seen[0][1] not in (seen[1][1], seen[2][1])
+    status = runs[0].modelStatusToString(lp._highs_core().HighsModelStatus.kUnboundedOrInfeasible)
+    assert [r.getMessage() for r in caplog.records if r.name == "posimp.lp"] == [
+        f"{p.name}: HiGHS {status} after {seen[0][1]} simplex iterations; "
+        "extra program: zero cost, ray"]

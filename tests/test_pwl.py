@@ -81,6 +81,32 @@ def test_eval_stays_within_the_node_values(vals, t):
     assert lo - 1e-12 <= f.eval(t)[0] <= hi + 1e-12
 
 
+def _hat_eval(f, tau):
+    """PwlArray.eval through the hat_matrix weights over all nodes."""
+    weights = pwl.hat_matrix(f.nodes, [tau])[0]
+    out = np.zeros(f.shape)
+    for i in np.flatnonzero(weights):
+        out += weights[i] * f.values[..., i]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_eval_equals_the_hat_matrix_route_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        nodes = pwl.uniform_nodes(rng.uniform(0.1, 3.0), n) if rng.random() < 0.5 else \
+            np.cumsum(rng.uniform(1e-3, 2.0, n)) - rng.uniform(0.0, 3.0)
+        f = pwl.PwlArray(nodes, rng.choice([0.0, -0.0, 1.0, -2.5, 1 / 3], (2, 3, n))
+                         * rng.normal(size=(2, 3, n)))
+        taus = np.concatenate([nodes, rng.uniform(nodes[0], nodes[-1], 10),
+                               rng.uniform(nodes[0] - 2.0, nodes[0], 3),
+                               rng.uniform(nodes[-1], nodes[-1] + 2.0, 3),
+                               [-np.inf, np.inf, -0.0, 0.0]]).tolist()
+        for t in taus:
+            assert f.eval(t).tobytes() == _hat_eval(f, t).tobytes(), t
+
+
 def test_vector_and_matrix_wrappers():
     nodes = pwl.uniform_nodes(1.0, 3)
     v = pwl.PwlArray(nodes, [[0.0, 1.0, 2.0], [4.0, 2.0, 0.0]])

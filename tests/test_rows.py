@@ -95,6 +95,8 @@ SYN = observer.SynthesisOptions(n_nodes=5)
 DUMPS = {
     "certify_min_grouped": ("e5a8035253f72a52", lambda: certify.certify_min(
         uncertain_impulsive(), core.Minimum(2.0), core.ScalingStructure.grouped([[0, 1]]), CERT)),
+    "certify_min_free": ("e4e0b9ad215dfab3", lambda: certify.certify_min_free(
+        uncertain_impulsive(), core.Minimum(2.0), CERT)),
     "certify_range_free": ("b19032816eb93258", lambda: certify.certify_range_free(
         uncertain_impulsive(), core.Range(1.5, 2.0), CERT)),
     "certify_range": ("b526d7d2c878904f", lambda: certify.certify_range(
@@ -127,6 +129,8 @@ DUMPS = {
     "delay_range_constant": ("7980595d1f039413", lambda: delay.certify_delay_range(
         _error(range_observer_plant(), RANGE_OBSERVER), core.Range(0.3, 0.5), delay.CONSTANT,
         CERT)),
+    "delay_min_constant": ("1b24f5e469e06d3d", lambda: delay.certify_delay_min(
+        _error(min_observer_plant(), MIN_OBSERVER), core.Minimum(1.0), delay.CONSTANT, CERT)),
     "delay_min_periodic": ("66ac9864abcbae41", lambda: delay.certify_delay_min(
         _error(min_observer_plant(), MIN_OBSERVER),
         core.PeriodicMinimum(5.0, q=1, alpha=1, h_c=5.0), delay.UNCONSTRAINED_PERIODIC, CERT)),
